@@ -36,8 +36,8 @@ type 'stack world = {
 }
 
 (* Every cell records its causal event trace by default so the harness can
-   audit it (see [audit_trace]); the Bechamel micro-benchmarks pass
-   [~record:false] because they measure wall-clock cost. *)
+   audit it (see [audit_trace]); the wall-clock cells of bench/perf.ml
+   pass [~record:false]. *)
 let base_net ?(delay = Delay.lan) ?(record = true) ~seed ~n () =
   let engine = Engine.create ~seed () in
   let trace = Trace.create ~enabled:record ~capacity:500_000 () in

@@ -3,7 +3,8 @@
    Usage:
      dune exec bench/main.exe            # all experiments
      dune exec bench/main.exe e3 e5      # a selection
-     dune exec bench/main.exe micro      # wall-clock micro-benchmarks only *)
+
+   Wall-clock costs of the implementation are measured by bench/perf.exe. *)
 
 let experiments =
   [
@@ -17,7 +18,6 @@ let experiments =
     ("e8", E8_monitoring_policies.run);
     ("e9", E9_same_view_delivery.run);
     ("e10", E10_loopback.run);
-    ("micro", Micro.run);
   ]
 
 let () =

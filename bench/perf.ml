@@ -3,8 +3,13 @@
    Unlike bench/main.exe (virtual-time protocol experiments) this binary
    measures how fast the *simulator host* chews through the workload: real
    seconds, as reported by the wall clock, and allocation pressure from
-   [Gc.quick_stat].  Three workloads, each at n in {3, 5, 8}:
+   [Gc.minor_words ()] (exact: it includes the minor heap's current fill,
+   where [Gc.quick_stat]'s minor count only advances at minor collections)
+   and [Gc.quick_stat]'s promoted words (promotion only happens at a
+   collection).  The cells:
 
+   - [engine_events]    the simulator core alone: no-op events scheduled
+                        from one event and drained (n = 1).
    - [rchannel_echo]    one node floods every peer through the reliable
                         channel with an upfront backlog; peers echo.  This
                         is the pure window/ack hot path.
@@ -18,6 +23,9 @@
                         batch-size sweep (batch_max in {1, 16, 64}): the
                         cost of the gbcast hot path as batching amortises
                         the per-message relay and ack fan-out.
+   - [traditional_saturation] the abcast_saturation workload through the
+                        traditional (view-synchronous) stack, the paper's
+                        baseline.
    - [log_recovery_*k]  crash-recovery cost vs durable-log length: a cold
                         Fstore open (CRC scan of the whole file) plus the
                         replay iteration a restarting server performs
@@ -45,6 +53,7 @@ module Rc = Gc_rchannel.Reliable_channel
 module Rb = Gc_rbcast.Reliable_broadcast
 module Ab = Gc_abcast.Atomic_broadcast
 module Stack = Gcs.Gcs_stack
+module Tr = Gc_traditional.Traditional_stack
 module Json = Gc_obs.Json
 
 type Gc_net.Payload.t += Ping of int | Pong of int
@@ -68,22 +77,13 @@ type cell = {
   completed : bool;
 }
 
-(* Run [engine] in virtual-time slices until [done_ ()] or the virtual
-   horizon, timing the whole drain with the wall clock.  Slicing keeps the
-   idle tail (heartbeats, retransmit ticks past completion) out of the
-   measurement. *)
-let measure ~name ~n ~msgs ~engine ~horizon ~done_ () =
-  let slice = 50.0 in
-  let gc0 = Gc.quick_stat () in
-  let t0 = Unix.gettimeofday () in
-  let rec drain until =
-    Engine.run ~until engine;
-    if (not (done_ ())) && until < horizon then drain (until +. slice)
-  in
-  drain slice;
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let gc1 = Gc.quick_stat () in
-  let completed = done_ () in
+(* Words allocated and promoted so far. *)
+let gc_words () =
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words in
+  (Gc.minor_words (), promoted)
+
+let cell ~name ~n ~msgs ~wall_s ~gc0:(minor0, promoted0)
+    ~gc1:(minor1, promoted1) ~completed =
   let fm = float_of_int msgs in
   {
     name;
@@ -91,14 +91,30 @@ let measure ~name ~n ~msgs ~engine ~horizon ~done_ () =
     msgs;
     wall_s;
     msgs_per_sec = (if wall_s > 0.0 then fm /. wall_s else infinity);
-    minor_words_per_msg = (gc1.Gc.minor_words -. gc0.Gc.minor_words) /. fm;
-    promoted_words_per_msg =
-      (gc1.Gc.promoted_words -. gc0.Gc.promoted_words) /. fm;
+    minor_words_per_msg = (minor1 -. minor0) /. fm;
+    promoted_words_per_msg = (promoted1 -. promoted0) /. fm;
     completed;
   }
 
+(* Run [engine] in virtual-time slices until [done_ ()] or the virtual
+   horizon, timing the whole drain with the wall clock.  Slicing keeps the
+   idle tail (heartbeats, retransmit ticks past completion) out of the
+   measurement. *)
+let measure ~name ~n ~msgs ~engine ~horizon ~done_ () =
+  let slice = 50.0 in
+  let gc0 = gc_words () in
+  let t0 = Unix.gettimeofday () in
+  let rec drain until =
+    Engine.run ~until engine;
+    if (not (done_ ())) && until < horizon then drain (until +. slice)
+  in
+  drain slice;
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let gc1 = gc_words () in
+  cell ~name ~n ~msgs ~wall_s ~gc0 ~gc1 ~completed:(done_ ())
+
 let report c =
-  Printf.printf "%-18s n=%d  %8d msgs  %7.3f s  %10.0f msg/s  %8.0f mw/msg%s\n%!"
+  Printf.printf "%-22s n=%d  %8d msgs  %7.3f s  %10.0f msg/s  %8.0f mw/msg%s\n%!"
     c.name c.n c.msgs c.wall_s c.msgs_per_sec c.minor_words_per_msg
     (if c.completed then "" else "  [INCOMPLETE]")
 
@@ -111,6 +127,31 @@ let substrate ~seed ~n =
   (engine, trace, net)
 
 (* ---------- cells ---------- *)
+
+(* Every node of a bench world has delivered [count] messages. *)
+let all_delivered w ~n ~count () =
+  let ok = ref true in
+  for i = 0 to n - 1 do
+    if Bench_util.delivered_count w i <> count then ok := false
+  done;
+  !ok
+
+(* The simulator core: [count] no-op events scheduled from one event at
+   t=0 over a 100 ms spread, then drained. *)
+let engine_events ~seed ~count =
+  let engine = Engine.create ~seed () in
+  let fired = ref 0 in
+  ignore
+    (Engine.schedule engine ~delay:0.0 (fun () ->
+         for i = 0 to count - 1 do
+           ignore
+             (Engine.schedule engine
+                ~delay:(float_of_int (i mod 100))
+                (fun () -> incr fired))
+         done));
+  measure ~name:"engine_events" ~n:1 ~msgs:count ~engine ~horizon:1_000.0
+    ~done_:(fun () -> !fired = count)
+    ()
 
 (* Node 0 sends [count] messages upfront, spread round-robin over the peers;
    every peer echoes each delivery back.  Done when node 0 has collected all
@@ -172,15 +213,9 @@ let gbcast_commuting ~seed ~n ~count =
              w.Bench_util.stacks.(k mod n)
              (Bench_util.Load { k; sent_at = 0.0 })
          done));
-  let all_delivered () =
-    let ok = ref true in
-    for i = 0 to n - 1 do
-      if Bench_util.delivered_count w i <> count then ok := false
-    done;
-    !ok
-  in
   measure ~name:"gbcast_commuting" ~n ~msgs:(count * n)
-    ~engine:w.Bench_util.engine ~horizon:120_000.0 ~done_:all_delivered ()
+    ~engine:w.Bench_util.engine ~horizon:120_000.0
+    ~done_:(all_delivered w ~n ~count) ()
 
 (* The batch-size sweep: identical commuting workload, submission batching
    set explicitly.  [batch_max = 1] is the unbatched protocol (one reliable
@@ -195,17 +230,25 @@ let gbcast_batch ~seed ~n ~count ~batch_max =
              w.Bench_util.stacks.(k mod n)
              (Bench_util.Load { k; sent_at = 0.0 })
          done));
-  let all_delivered () =
-    let ok = ref true in
-    for i = 0 to n - 1 do
-      if Bench_util.delivered_count w i <> count then ok := false
-    done;
-    !ok
-  in
   measure
     ~name:(Printf.sprintf "gbcast_batch_b%d" batch_max)
     ~n ~msgs:(count * n) ~engine:w.Bench_util.engine ~horizon:120_000.0
-    ~done_:all_delivered ()
+    ~done_:(all_delivered w ~n ~count) ()
+
+(* The abcast_saturation workload through the traditional stack (total
+   order under view synchrony), the paper's baseline architecture. *)
+let traditional_saturation ~seed ~n ~count =
+  let w = Bench_util.trad_world ~record:false ~seed ~n () in
+  ignore
+    (Engine.schedule w.Bench_util.engine ~delay:0.0 (fun () ->
+         for k = 0 to count - 1 do
+           Tr.abcast
+             w.Bench_util.stacks.(k mod n)
+             (Bench_util.Load { k; sent_at = 0.0 })
+         done));
+  measure ~name:"traditional_saturation" ~n ~msgs:(count * n)
+    ~engine:w.Bench_util.engine ~horizon:120_000.0
+    ~done_:(all_delivered w ~n ~count) ()
 
 (* Crash-recovery cost as a function of log length: build a CRC-framed
    on-disk delivery log of [count] records, then time a cold open (the
@@ -233,7 +276,7 @@ let log_recovery ~count =
   done;
   Gc_kernel.Storage.sync st;
   Gc_kernel.Storage.close st;
-  let gc0 = Gc.quick_stat () in
+  let gc0 = gc_words () in
   let t0 = Unix.gettimeofday () in
   let st = Gc_runtime_unix.Fstore.open_dir ~dir () in
   let replayed = ref 0 in
@@ -241,24 +284,15 @@ let log_recovery ~count =
       ignore (Gc_kernel.Storage.Record.decode entry);
       incr replayed);
   let wall_s = Unix.gettimeofday () -. t0 in
-  let gc1 = Gc.quick_stat () in
+  let gc1 = gc_words () in
   Gc_kernel.Storage.close st;
   Array.iter
     (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
     (Sys.readdir dir);
   (try Sys.rmdir dir with Sys_error _ -> ());
-  let fm = float_of_int count in
-  {
-    name = Printf.sprintf "log_recovery_%dk" (count / 1000);
-    n = 1;
-    msgs = count;
-    wall_s;
-    msgs_per_sec = (if wall_s > 0.0 then fm /. wall_s else infinity);
-    minor_words_per_msg = (gc1.Gc.minor_words -. gc0.Gc.minor_words) /. fm;
-    promoted_words_per_msg =
-      (gc1.Gc.promoted_words -. gc0.Gc.promoted_words) /. fm;
-    completed = !replayed = count;
-  }
+  cell
+    ~name:(Printf.sprintf "log_recovery_%dk" (count / 1000))
+    ~n:1 ~msgs:count ~wall_s ~gc0 ~gc1 ~completed:(!replayed = count)
 
 (* ---------- json ---------- *)
 
@@ -375,8 +409,9 @@ let () =
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let echo_count, ab_count, gb_count =
-    if !smoke then (800, 300, 200) else (10_000, 2_500, 2_000)
+  let event_count, echo_count, ab_count, gb_count =
+    if !smoke then (10_000, 800, 300, 200)
+    else (100_000, 10_000, 2_500, 2_000)
   in
   let seed = !seed in
   let cells = ref [] in
@@ -385,6 +420,7 @@ let () =
     report c;
     cells := c :: !cells
   in
+  run (fun () -> engine_events ~seed ~count:event_count);
   List.iter
     (fun n ->
       run (fun () -> rchannel_echo ~seed ~n ~count:echo_count);
@@ -392,7 +428,8 @@ let () =
       run (fun () -> gbcast_commuting ~seed ~n ~count:gb_count);
       List.iter
         (fun b -> run (fun () -> gbcast_batch ~seed ~n ~count:gb_count ~batch_max:b))
-        [ 1; 16; 64 ])
+        [ 1; 16; 64 ];
+      run (fun () -> traditional_saturation ~seed ~n ~count:ab_count))
     [ 3; 5; 8 ];
   (* Recovery time vs log length: how long a kill -9'd server spends
      scanning and replaying its durable log before accepting traffic. *)

@@ -24,6 +24,7 @@ module Pending = Map.Make (struct
 end)
 
 module Delivered = Delivered_set
+module Metric = Gc_obs.Metric
 
 type Gc_net.Payload.t +=
   | Ab_data of msg
@@ -131,7 +132,7 @@ let current_batch t =
   List.rev (Pending.fold (fun _ m acc -> m :: acc) t.pending [])
 
 let note_pending t =
-  Process.set_gauge t.proc "abcast.pending_size" (float_of_int t.pending_n)
+  Process.set_gauge t.proc Metric.abcast_pending_size (float_of_int t.pending_n)
 
 let pending_add t id m =
   t.pending <- Pending.add id m t.pending;
@@ -158,15 +159,15 @@ let log_delivery t ~origin ~seq ~ordered body =
             (Gc_kernel.Storage.append store
                (Gc_kernel.Storage.Record.encode
                   { Gc_kernel.Storage.Record.origin; seq; ordered; payload }))
-      | Error _ -> Process.incr t.proc "storage.append_skipped")
+      | Error _ -> Process.incr t.proc Metric.storage_append_skipped)
 
 let try_start t =
   if member t && not (Hashtbl.mem t.proposed t.next_to_apply) then begin
     let batch = current_batch t in
     if batch <> [] || t.max_solicited >= t.next_to_apply then begin
       Hashtbl.replace t.proposed t.next_to_apply ();
-      Process.incr t.proc "abcast.proposals";
-      Process.observe t.proc "abcast.batch_size"
+      Process.incr t.proc Metric.abcast_proposals;
+      Process.observe t.proc Metric.abcast_batch_size
         (float_of_int (List.length batch));
       Consensus.propose (consensus_of t) ~inst:t.next_to_apply
         ~members:t.member_list (Ab_batch batch)
@@ -191,8 +192,8 @@ let apply_decisions t =
               log_delivery t ~origin:m.origin ~seq:t.n_delivered ~ordered:true
                 m.body;
               t.n_delivered <- t.n_delivered + 1;
-              Process.incr t.proc "abcast.delivered";
-              Process.observe t.proc "abcast.latency_ms"
+              Process.incr t.proc Metric.abcast_delivered;
+              Process.observe t.proc Metric.abcast_latency_ms
                 (Process.now t.proc -. m.sent_at);
               if Process.traced t.proc then
                 Process.event t.proc ~component:"abcast"
@@ -258,7 +259,7 @@ let create proc ~rc ~rb ~fd ?(suspect_timeout = 200.0) ?(adaptive = false)
   in
   t.submit_batch <-
     Some
-      (Batcher.create proc ~metric:"abcast.submit_batch_size"
+      (Batcher.create proc ~metric:Metric.abcast_submit_batch_size
          ~max_batch:batch_max ~max_delay:batch_delay
          ~emit:(fun ms ->
            match ms with
@@ -268,7 +269,7 @@ let create proc ~rc ~rb ~fd ?(suspect_timeout = 200.0) ?(adaptive = false)
                let size = List.fold_left (fun a m -> a + m.size) 16 ms in
                Rb.broadcast t.rb ~size ~dests:t.member_list (Ab_submit ms))
          ());
-  Process.incr ~by:0 proc "abcast.delivered";
+  Process.incr ~by:0 proc Metric.abcast_delivered;
   let consensus =
     Consensus.create proc ~rc ~rb ~fd ~suspect_timeout ~adaptive
       ~score:(function Ab_batch l -> List.length l | _ -> 0)
@@ -319,7 +320,7 @@ let abcast t ?(size = 64) body =
       }
     in
     t.next_mseq <- t.next_mseq + 1;
-    Process.incr t.proc "abcast.submitted";
+    Process.incr t.proc Metric.abcast_submitted;
     if Process.traced t.proc then
       Process.event t.proc ~component:"abcast" ~kind:Gc_obs.Event.Send
         ~msg:(Printf.sprintf "ab:%d.%d" m.origin m.mseq)

@@ -1,8 +1,9 @@
 module Process = Gc_kernel.Process
+module Metric = Gc_obs.Metric
 
 type 'a t = {
   proc : Process.t;
-  metric : string option;
+  metric : Metric.histogram Metric.t option;
   max_batch : int;
   max_delay : float;
   emit : 'a list -> unit;
@@ -32,9 +33,6 @@ let create proc ?metric ~max_batch ~max_delay ~emit () =
 
 let observe t n =
   match t.metric with
-  (* gcs-lint: allow E2 — the name is fixed at Batcher.create sites
-     (abcast.submit_batch_size, gbcast.batch_size, gbcast.ack_batch_size),
-     each a catalogued histogram *)
   | Some m -> Process.observe t.proc m (float_of_int n)
   | None -> ()
 

@@ -22,7 +22,7 @@ type 'a t
 
 val create :
   Gc_kernel.Process.t ->
-  ?metric:string ->
+  ?metric:Gc_obs.Metric.histogram Gc_obs.Metric.t ->
   max_batch:int ->
   max_delay:float ->
   emit:('a list -> unit) ->

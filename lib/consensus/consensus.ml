@@ -3,6 +3,7 @@ module Rc = Gc_rchannel.Reliable_channel
 module Rb = Gc_rbcast.Reliable_broadcast
 module Fd = Gc_fd.Failure_detector
 module Sorted = Gc_sim.Sorted
+module Metric = Gc_obs.Metric
 
 type Gc_net.Payload.t +=
   | Cs_start of { inst : int }
@@ -152,10 +153,10 @@ let decide t inst v =
       | Some st -> st.decided <- true
       | None -> ());
       t.n_decided <- t.n_decided + 1;
-      Process.incr t.proc "consensus.instances_decided";
+      Process.incr t.proc Metric.consensus_instances_decided;
       (match Hashtbl.find_opt t.states inst with
       | Some st when st.max_round > 0 ->
-          Process.observe t.proc "consensus.rounds"
+          Process.observe t.proc Metric.consensus_rounds
             (float_of_int st.max_round)
       | _ -> ());
       if Process.traced t.proc then
@@ -247,8 +248,9 @@ and check_phase3 t inst st =
     | None ->
         if Fd.suspected t.monitor c then begin
           st.phase3_done <- true;
-          Process.incr t.proc "consensus.coordinator_suspicions";
-          Process.emit t.proc ~component:"consensus" ~event:"skip_round"
+          Process.incr t.proc Metric.consensus_coordinator_suspicions;
+          Process.event t.proc ~component:"consensus"
+            ~kind:(Gc_obs.Event.Custom "skip_round")
             ~attrs:
               [
                 ("inst", string_of_int inst);
@@ -316,8 +318,8 @@ let on_suspicion t _q =
 let create proc ~rc ~rb ~fd ?(suspect_timeout = 200.0) ?(adaptive = false)
     ?(round_backoff = 25.0) ?(score = fun _ -> 0) ~on_decide ~on_solicit () =
   let states = Hashtbl.create 32 in
-  Process.incr ~by:0 proc "consensus.instances_started";
-  Process.incr ~by:0 proc "consensus.instances_decided";
+  Process.incr ~by:0 proc Metric.consensus_instances_started;
+  Process.incr ~by:0 proc Metric.consensus_instances_decided;
   let t_ref = ref None in
   let on_suspect q =
     match !t_ref with Some t -> on_suspicion t q | None -> ()
@@ -390,7 +392,7 @@ let propose t ~inst ~members v =
           }
         in
         Hashtbl.replace t.states inst st;
-        Process.incr t.proc "consensus.instances_started";
+        Process.incr t.proc Metric.consensus_instances_started;
         if Process.traced t.proc then
           Process.event t.proc ~component:"consensus" ~kind:Gc_obs.Event.Propose
             ~msg:(Printf.sprintf "cs:%d" inst)

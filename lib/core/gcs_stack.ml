@@ -163,7 +163,6 @@ type t = {
   proc : Process.t;
   fd : Fd.t;
   rc : Rc.t;
-  rb : Rb.t;
   ab : Ab.t;
   gb : Gb.t;
   membership : Gm.t;
@@ -262,7 +261,6 @@ let create runtime ?metrics ~id ~initial ?(config = default_config)
       proc;
       fd;
       rc;
-      rb;
       ab;
       gb;
       membership;
@@ -331,7 +329,6 @@ let process t = t.proc
 let metrics t = Process.metrics t.proc
 let failure_detector t = t.fd
 let reliable_channel t = t.rc
-let reliable_broadcast t = t.rb
 let atomic_broadcast t = t.ab
 let generic_broadcast t = t.gb
 let membership t = t.membership

@@ -220,7 +220,6 @@ val metrics : t -> Gc_obs.Metrics.t
 
 val failure_detector : t -> Gc_fd.Failure_detector.t
 val reliable_channel : t -> Gc_rchannel.Reliable_channel.t
-val reliable_broadcast : t -> Gc_rbcast.Reliable_broadcast.t
 val atomic_broadcast : t -> Gc_abcast.Atomic_broadcast.t
 val generic_broadcast : t -> Gc_gbcast.Generic_broadcast.t
 val membership : t -> Gc_membership.Group_membership.t

@@ -1,5 +1,6 @@
 module Process = Gc_kernel.Process
 module Sorted = Gc_sim.Sorted
+module Metric = Gc_obs.Metric
 
 type Gc_net.Payload.t += Heartbeat
 
@@ -171,10 +172,10 @@ let check t m () =
           if late && not currently then begin
             Hashtbl.replace m.suspected_set q now;
             m.suspicions <- m.suspicions + 1;
-            Process.incr t.proc "fd.suspicions";
+            Process.incr t.proc Metric.fd_suspicions;
             if Process.oracle_alive t.proc q then begin
               m.wrong <- m.wrong + 1;
-              Process.incr t.proc "fd.wrong_suspicions"
+              Process.incr t.proc Metric.fd_wrong_suspicions
             end;
             Process.event t.proc ~component:"fd" ~kind:Gc_obs.Event.Suspect
               ~attrs:[ ("monitor", m.label); ("peer", string_of_int q) ]
@@ -186,10 +187,10 @@ let check t m () =
             | Some since ->
                 (* A retraction means the suspicion was a mistake; its
                    duration is the paper's "mistake duration" metric. *)
-                Process.observe t.proc "fd.mistake_ms" (now -. since)
+                Process.observe t.proc Metric.fd_mistake_ms (now -. since)
             | None -> ());
             Hashtbl.remove m.suspected_set q;
-            Process.incr t.proc "fd.retractions";
+            Process.incr t.proc Metric.fd_retractions;
             Process.event t.proc ~component:"fd" ~kind:Gc_obs.Event.Trust
               ~attrs:[ ("monitor", m.label); ("peer", string_of_int q) ]
               ();

@@ -5,6 +5,7 @@ module Ab = Gc_abcast.Atomic_broadcast
 module Batcher = Gc_abcast.Batcher
 module Delivered = Gc_abcast.Delivered_set
 module Sorted = Gc_sim.Sorted
+module Metric = Gc_obs.Metric
 
 type msg = {
   origin : int;
@@ -196,7 +197,7 @@ let send_all t ?size payload =
     t.member_list
 
 let note_occupancy t =
-  Process.set_gauge t.proc "gbcast.conflict_class_occupancy"
+  Process.set_gauge t.proc Metric.gbcast_conflict_class_occupancy
     (float_of_int (Conflict_index.occupancy t.index))
 
 (* Track a newly rdelivered message: the conflict index mirrors
@@ -224,7 +225,7 @@ let log_delivery t m =
                     ordered = t.conflict m.body m.body;
                     payload;
                   }))
-      | Error _ -> Process.incr t.proc "storage.append_skipped")
+      | Error _ -> Process.incr t.proc Metric.storage_append_skipped)
 
 let deliver t m =
   let id = msg_id m in
@@ -237,8 +238,9 @@ let deliver t m =
       Conflict_index.remove t.index id;
     log_delivery t m;
     t.n_delivered <- t.n_delivered + 1;
-    Process.incr t.proc "gbcast.delivered";
-    Process.observe t.proc "gbcast.latency_ms" (Process.now t.proc -. m.sent_at);
+    Process.incr t.proc Metric.gbcast_delivered;
+    Process.observe t.proc Metric.gbcast_latency_ms
+      (Process.now t.proc -. m.sent_at);
     if Process.traced t.proc then
       (* The conflict class rides along so the auditor can tell which
          delivery pairs must agree in order: a message conflicting with
@@ -288,8 +290,9 @@ let rec freeze t =
   if member t && not t.frozen then begin
     t.frozen <- true;
     t.froze_at <- Process.now t.proc;
-    Process.incr t.proc "gbcast.freezes";
-    Process.emit t.proc ~component:"gbcast" ~event:"freeze"
+    Process.incr t.proc Metric.gbcast_freezes;
+    Process.event t.proc ~component:"gbcast"
+      ~kind:(Gc_obs.Event.Custom "freeze")
       ~attrs:[ ("stage", string_of_int t.stage) ]
       ();
     let acked = acked_msgs t and pending = pending_msgs t in
@@ -374,8 +377,9 @@ and force_cut t =
                >= threshold)
       in
       Hashtbl.replace t.cut_proposed t.stage ();
-      Process.incr t.proc "gbcast.cuts_proposed";
-      Process.emit t.proc ~component:"gbcast" ~event:"propose_cut"
+      Process.incr t.proc Metric.gbcast_cuts_proposed;
+      Process.event t.proc ~component:"gbcast"
+        ~kind:(Gc_obs.Event.Custom "propose_cut")
         ~attrs:
           [
             ("stage", string_of_int t.stage);
@@ -429,8 +433,9 @@ and try_fast_deliver t id =
       match Hashtbl.find_opt t.pending id with
       | Some m ->
           t.n_fast <- t.n_fast + 1;
-          Process.incr t.proc "gbcast.fast_deliveries";
-          Process.emit t.proc ~component:"gbcast" ~event:"fast_deliver"
+          Process.incr t.proc Metric.gbcast_fast_deliveries;
+          Process.event t.proc ~component:"gbcast"
+            ~kind:(Gc_obs.Event.Custom "fast_deliver")
             ~attrs:
               [
                 ("origin", string_of_int (fst id));
@@ -458,11 +463,11 @@ let apply_cut t ~stage ~first ~rest =
        winning cut.  Members that never froze (the cut outran the conflict
        evidence) have nothing to report. *)
     if t.frozen then
-      Process.observe t.proc "gbcast.check_ms"
+      Process.observe t.proc Metric.gbcast_check_ms
         (Process.now t.proc -. t.froze_at);
     let via_cut m =
       if not (Delivered.mem t.delivered (msg_id m)) then
-        Process.incr t.proc "gbcast.cut_deliveries";
+        Process.incr t.proc Metric.gbcast_cut_deliveries;
       deliver t m
     in
     List.iter via_cut first;
@@ -477,7 +482,8 @@ let apply_cut t ~stage ~first ~rest =
     Sorted.iter (fun id m -> Conflict_index.add t.index id m.body) t.pending;
     t.stage <- stage + 1;
     t.frozen <- false;
-    Process.emit t.proc ~component:"gbcast" ~event:"new_stage"
+    Process.event t.proc ~component:"gbcast"
+      ~kind:(Gc_obs.Event.Custom "new_stage")
       ~attrs:[ ("stage", string_of_int t.stage) ]
       ();
     reexamine_pending t;
@@ -530,11 +536,11 @@ let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
       froze_at = 0.0;
     }
   in
-  Process.incr ~by:0 proc "gbcast.fast_deliveries";
-  Process.incr ~by:0 proc "gbcast.cut_deliveries";
+  Process.incr ~by:0 proc Metric.gbcast_fast_deliveries;
+  Process.incr ~by:0 proc Metric.gbcast_cut_deliveries;
   t.submit_batch <-
     Some
-      (Batcher.create proc ~metric:"gbcast.batch_size" ~max_batch:batch_max
+      (Batcher.create proc ~metric:Metric.gbcast_batch_size ~max_batch:batch_max
          ~max_delay:batch_delay
          ~emit:(fun ms ->
            match ms with
@@ -550,7 +556,7 @@ let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
   if batch_max > 1 then
     t.ack_batch <-
       Some
-        (Batcher.create proc ~metric:"gbcast.ack_batch_size"
+        (Batcher.create proc ~metric:Metric.gbcast_ack_batch_size
            ~max_batch:(max batch_max 16) ~max_delay:batch_delay
            ~emit:(fun l ->
              match l with
@@ -634,7 +640,7 @@ let gbcast t ?(size = 64) body =
       }
     in
     t.next_gseq <- t.next_gseq + 1;
-    Process.incr t.proc "gbcast.submitted";
+    Process.incr t.proc Metric.gbcast_submitted;
     if Process.traced t.proc then
       Process.event t.proc ~component:"gbcast" ~kind:Gc_obs.Event.Send
         ~msg:(Printf.sprintf "gb:%d.%d" m.origin m.gseq)

@@ -81,18 +81,11 @@ val event :
     the node's Lamport clock; [msg] is the stable message id the event
     concerns (e.g. ["ab:0.3"]). *)
 
-val emit :
-  t -> component:string -> event:string ->
-  ?attrs:(string * string) list -> unit -> unit
-(** String-tagged trace helper; [event] is mapped through
-    {!Gc_obs.Event.kind_of_string}.  Prefer {!event} on protocol
-    lifecycle paths. *)
-
-val incr : ?by:int -> t -> string -> unit
+val incr : ?by:int -> t -> Gc_obs.Metric.counter Gc_obs.Metric.t -> unit
 (** Bump a counter in the node's metrics registry. *)
 
-val observe : t -> string -> float -> unit
+val observe : t -> Gc_obs.Metric.histogram Gc_obs.Metric.t -> float -> unit
 (** Record a histogram sample in the node's metrics registry. *)
 
-val set_gauge : t -> string -> float -> unit
+val set_gauge : t -> Gc_obs.Metric.gauge Gc_obs.Metric.t -> float -> unit
 (** Set a gauge in the node's metrics registry to its latest reading. *)

@@ -6,6 +6,7 @@
 
 module Metrics = Gc_obs.Metrics
 module Wire = Gc_net.Wire
+module Metric = Gc_obs.Metric
 
 module Record = struct
   type t = { origin : int; seq : int; ordered : bool; payload : string }
@@ -54,17 +55,17 @@ let in_memory ?metrics () =
   let lo = ref 0 and next = ref 0 in
   let snapshot = ref None in
   let update_gauge () =
-    Metrics.set_gauge m "storage.log_entries" (float_of_int (!next - !lo))
+    Metrics.set_gauge m Metric.storage_log_entries (float_of_int (!next - !lo))
   in
   let append entry =
     let idx = !next in
     Hashtbl.replace entries idx entry;
     next := idx + 1;
-    Metrics.incr m "storage.appends";
+    Metrics.incr m Metric.storage_appends;
     update_gauge ();
     idx
   in
-  let sync () = Metrics.incr m "storage.syncs" in
+  let sync () = Metrics.incr m Metric.storage_syncs in
   let iter_from from f =
     for idx = max from !lo to !next - 1 do
       match Hashtbl.find_opt entries idx with
@@ -79,13 +80,13 @@ let in_memory ?metrics () =
         Hashtbl.remove entries idx
       done;
       lo := upto;
-      Metrics.incr m "storage.truncations";
+      Metrics.incr m Metric.storage_truncations;
       update_gauge ()
     end
   in
   let save_snapshot ~index blob =
     snapshot := Some (index, blob);
-    Metrics.incr m "storage.snapshots"
+    Metrics.incr m Metric.storage_snapshots
   in
   let load_snapshot () = !snapshot in
   {

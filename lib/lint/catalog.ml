@@ -25,7 +25,8 @@ let rule_summary = function
   | "D3" -> "unordered Hashtbl.iter/fold feeding protocol state"
   | "D4" -> "bare polymorphic compare/(=) passed at a call site"
   | "E1" -> "Process.event outside the registered component/prefix catalog"
-  | "E2" -> "metric name or kind outside the Catalog.metrics register"
+  | "E2" ->
+      "metric read or DESIGN.md §8 row outside the Gc_obs.Metric declarations"
   | "L1" -> "dune dependency outside the declared architecture DAG"
   | "L2" -> "module reference outside the declared architecture DAG"
   | "W1" -> "malformed gcs-lint waiver annotation"
@@ -177,7 +178,8 @@ let arch =
         "gc_sim"; "gc_net"; "gc_kernel"; "gc_obs"; "gc_membership"; "gcs";
         "gc_runtime_unix";
       ];
-    layer ~ext:[ "fmt"; "compiler-libs.common" ] "gc_lint" "lint" 15 [];
+    layer ~ext:[ "fmt"; "compiler-libs.common" ] "gc_lint" "lint" 15
+      [ "gc_obs" ];
   ]
 
 let find_layer lib = List.find_opt (fun l -> l.lib = lib) arch
@@ -202,7 +204,7 @@ let abgb_libs =
 
 let legacy_libs = [ "gc_traditional"; "gc_totem" ]
 
-(* ---------- typed-pass vocabulary (rules W2/W3, B1/B2, E2) ---------- *)
+(* ---------- typed-pass vocabulary (rules W2/W3, B1/B2) ---------- *)
 
 (* Callback registration points.  A function (or lambda) handed to one of
    these runs inside the event loop; [Handler] additionally marks it as a
@@ -276,109 +278,24 @@ let payload_type = "Gc_net.Payload.t"
 let wire_u8_write = "Gc_net.Wire.u8"
 let wire_u8_read = "Gc_net.Wire.read_u8"
 
-(* ---------- metric catalog (rule E2) ---------- *)
+(* ---------- metric readers (rule E2) ---------- *)
 
-type metric_kind = MCounter | MGauge | MHist
-
-let metric_kind_name = function
-  | MCounter -> "counter"
-  | MGauge -> "gauge"
-  | MHist -> "histogram"
-
-(* Metric recording/reading entry points and the kind each one implies.
-   Local forwarders (a def whose body passes its own string parameter to
-   one of these) are discovered by the rule itself. *)
-let metric_recorders =
+(* Metric reading entry points that take the name as a string, and the
+   kind each one implies.  Recorders take the typed names of
+   [Gc_obs.Metric] and need no entry. *)
+let metric_readers =
+  let open Gc_obs.Metric in
   [
-    ("Gc_obs.Metrics.incr", MCounter);
-    ("Gc_obs.Metrics.counter", MCounter);
-    ("Gc_obs.Metrics.set_gauge", MGauge);
-    ("Gc_obs.Metrics.gauge", MGauge);
-    ("Gc_obs.Metrics.observe", MHist);
-    ("Gc_obs.Metrics.quantile", MHist);
-    ("Gc_obs.Metrics.hist_count", MHist);
-    ("Gc_obs.Metrics.hist_max", MHist);
-    ("Gc_obs.Metrics.hist_mean", MHist);
-    ("Gc_kernel.Process.incr", MCounter);
-    ("Gc_kernel.Process.set_gauge", MGauge);
-    ("Gc_kernel.Process.observe", MHist);
-    ("Gc_obs.Snapshot.counter", MCounter);
-    ("Gc_obs.Snapshot.gauge", MGauge);
-    ("Gc_obs.Snapshot.quantile", MHist);
-    ("Gc_obs.Snapshot.hist_count", MHist);
-    ("Gc_obs.Snapshot.hist_max", MHist);
-    ("Gc_obs.Snapshot.hist_mean", MHist);
-  ]
-
-(* The Metrics store implementation itself rehydrates registries from
-   serialized views and JSON, where names are data, not literals — the
-   original recording sites were already checked.  E2's
-   static-checkability requirement stops at the store boundary. *)
-let e2_exempt path = has_suffix ~suffix:"lib/obs/metrics.ml" path
-
-(* Every metric name the repo may record or read, with its kind.  This
-   list is the single source of truth: rule E2 checks call sites against
-   it, and (in repo mode) checks it against the DESIGN.md section 8
-   table, so doc and code cannot drift apart. *)
-let metrics =
-  let c n = (n, MCounter) and g n = (n, MGauge) and h n = (n, MHist) in
-  [
-    (* consensus *)
-    c "consensus.instances_started"; c "consensus.instances_decided";
-    h "consensus.rounds"; c "consensus.coordinator_suspicions";
-    (* abcast *)
-    c "abcast.submitted"; c "abcast.proposals"; h "abcast.batch_size";
-    c "abcast.delivered"; h "abcast.latency_ms"; g "abcast.pending_size";
-    h "abcast.submit_batch_size";
-    (* gbcast *)
-    c "gbcast.submitted"; c "gbcast.fast_deliveries";
-    c "gbcast.cut_deliveries"; c "gbcast.delivered"; h "gbcast.latency_ms";
-    c "gbcast.freezes"; c "gbcast.cuts_proposed"; h "gbcast.check_ms";
-    h "gbcast.batch_size"; h "gbcast.ack_batch_size";
-    g "gbcast.conflict_class_occupancy";
-    (* rbcast / rchannel *)
-    c "rbcast.broadcasts"; c "rbcast.delivered";
-    c "rchannel.sends"; c "rchannel.retransmissions";
-    h "rchannel.retransmit_burst"; c "rchannel.stale_gen_ignored";
-    g "rchannel.window_occupancy"; g "rchannel.window_peak";
-    c "rchannel.stuck_detections"; c "rchannel.stream_resets";
-    (* failure detection / membership / monitoring *)
-    c "fd.suspicions"; c "fd.wrong_suspicions"; c "fd.retractions";
-    h "fd.mistake_ms";
-    c "membership.view_changes"; h "membership.join_ms";
-    h "membership.change_ms"; g "membership.sender_blocked_ms_total";
-    c "membership.resyncs";
-    c "monitoring.exclusions_proposed"; c "monitoring.wrongful_exclusions";
-    (* competing stacks and replication *)
-    c "traditional.flushes"; c "traditional.view_changes";
-    c "traditional.exclusions"; h "traditional.blocked_ms";
-    g "traditional.blocked_ms_total";
-    c "totem.recoveries"; c "totem.view_changes"; c "totem.exclusions";
-    c "passive.discards"; c "passive.primary_changes";
-    (* event loop (runtime_unix) *)
-    c "evloop.ticks"; h "evloop.select_wait_ms"; h "evloop.callback_ms";
-    h "evloop.tick_ms"; h "evloop.timer_lag_ms"; c "evloop.timer_overdue";
-    g "evloop.open_fds";
-    (* wire transport (framing + TCP backend + simulated net) *)
-    c "net.frames_in"; c "net.frames_out"; c "net.bytes_in";
-    c "net.bytes_out"; c "net.frame_reject"; c "net.reconnects";
-    c "net.tx_drop"; c "net.dropped_gone"; c "net.dropped_policy";
-    c "net.duplicated";
-    (* durable delivery log (Storage seam + file backend) *)
-    c "storage.appends"; c "storage.syncs"; c "storage.snapshots";
-    c "storage.truncations"; c "storage.torn_tail_dropped";
-    c "storage.append_skipped"; g "storage.log_entries";
-    (* gcs_server facade *)
-    c "server.applied"; c "server.bad_delivery"; c "server.bad_request";
-    c "server.client_accepts"; c "server.health_requests";
-    c "server.stats_requests"; h "server.latency_ms";
-    h "server.latency_abcast_ms"; h "server.latency_rbcast_ms";
-    c "server.delta_transfers"; c "server.full_transfers";
-    c "server.delta_rejected"; c "server.reply_syncs";
-    c "server.recovered_ops"; c "server.dup_ops_skipped";
-    h "server.recovery_ms";
-    (* loopback bench client *)
-    h "client.latency"; g "client.latency_max"; g "client.latency_p50";
-    g "client.latency_p90"; g "client.latency_p99"; c "client.refused";
-    c "client.unexpected";
+    ("Gc_obs.Metrics.counter", Counter);
+    ("Gc_obs.Metrics.gauge", Gauge);
+    ("Gc_obs.Metrics.quantile", Histogram);
+    ("Gc_obs.Metrics.hist_count", Histogram);
+    ("Gc_obs.Metrics.hist_max", Histogram);
+    ("Gc_obs.Metrics.hist_mean", Histogram);
+    ("Gc_obs.Snapshot.counter", Counter);
+    ("Gc_obs.Snapshot.gauge", Gauge);
+    ("Gc_obs.Snapshot.quantile", Histogram);
+    ("Gc_obs.Snapshot.hist_count", Histogram);
+    ("Gc_obs.Snapshot.hist_max", Histogram);
+    ("Gc_obs.Snapshot.hist_mean", Histogram);
   ]

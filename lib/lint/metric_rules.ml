@@ -1,225 +1,74 @@
-(* Rule E2: every metric name the code records or reads must appear in
-   [Catalog.metrics] with the right kind, and the catalog itself must
-   match the DESIGN.md section 8 table.
+(* Rule E2: metric names.  Recording takes the typed names declared in
+   [Gc_obs.Metric], so the compiler already rejects a misspelt name or a
+   counter recorded as a histogram.  What is left for the rule:
 
-   The Metrics store is stringly typed: [Metrics.incr m "net.frames_in"]
-   creates the counter on first use, so a typo mints a fresh, never-read
-   metric and the dashboard silently flatlines.  E2 closes that hole
-   statically: names are collected from the typed tree at every recorder
-   call site (descending into if/match arms, so both branches of
-   [if ordered then "..ab.." else "..rb.."] are seen), looked up in the
-   catalog, and kind-checked (observing a counter is the same bug as a
-   typo).
-
-   Local forwarders are discovered, not listed: a definition that passes
-   one of its own parameters into a recorder's string slot (runtime_unix's
-   [bump], fconn's [count]) becomes a recorder of the same kind, and its
-   call sites are checked instead. *)
+   - every string literal passed to a metric reader ([Metrics.counter m
+     "net.frames_in"], the [Snapshot] readers) names a declared metric of
+     the kind the reader implies — a typo there reads a series that never
+     exists, and the dashboard silently flatlines.  Names are collected
+     from the typed tree, descending into if/match arms;
+   - the declarations match the DESIGN.md section 8 table, so doc and
+     code cannot drift apart. *)
 
 module D = Diagnostic
-
-type site = {
-  s_source : string;
-  s_line : int;
-  s_kind : Catalog.metric_kind;
-  s_names : (string * int) list;  (* literal names with their lines *)
-  s_checkable : bool;  (* false: no literal and not a forwarded param *)
-}
+module Metric = Gc_obs.Metric
 
 let is_string_type (ty : Types.type_expr) =
   match Types.get_desc ty with
   | Types.Tconstr (p, _, _) -> Path.name p = "string"
   | _ -> false
 
-(* One scan of a unit: recorder call sites, plus the set of definitions
-   that forward a parameter into a recorder name slot. *)
-let scan_unit ~known (u : Typed_loader.unit_info) =
+let check_unit (u : Typed_loader.unit_info) =
   let r =
     Typed_loader.build_resolver ~canon:u.Typed_loader.canon
       u.Typed_loader.structure
   in
-  let sites = ref [] in
-  let forwarders = ref [] in
-  (* stamps of value parameters of the current top-level definition *)
-  let params : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let current = ref None in
-  (* module path of the definition being scanned, for resolving bare
-     calls to unit-local forwarders ([bump t "net.reconnects"]) *)
-  let cur_prefix = ref u.Typed_loader.canon in
-  let open Tast_iterator in
-  let record_params (c : _ Typedtree.case) =
-    let rec pat_vars : type k. k Typedtree.general_pattern -> unit =
-     fun p ->
-      match p.Typedtree.pat_desc with
-      | Typedtree.Tpat_var (id, _) ->
-          Hashtbl.replace params (Ident.unique_name id) ()
-      | Typedtree.Tpat_alias (p', id, _) ->
-          Hashtbl.replace params (Ident.unique_name id) ();
-          pat_vars p'
-      | _ -> ()
+  let declared = Metric.all () in
+  let ds = ref [] in
+  let check_name kind (name, loc) =
+    let add ~suggestion msg =
+      ds :=
+        D.v ~file:u.Typed_loader.source ~line:(Typed_loader.line_of loc)
+          ~rule:"E2" ~suggestion msg
+        :: !ds
     in
-    pat_vars c.Typedtree.c_lhs
+    match List.assoc_opt name declared with
+    | None ->
+        add ~suggestion:"declare it in Gc_obs.Metric and DESIGN.md §8"
+          (Printf.sprintf "metric %S is not declared" name)
+    | Some k when k <> kind ->
+        add ~suggestion:"fix the read or the declaration"
+          (Printf.sprintf "metric %S is declared a %s but read as a %s here"
+             name (Metric.kind_name k) (Metric.kind_name kind))
+    | Some _ -> ()
   in
+  let open Tast_iterator in
   let expr sub (e : Typedtree.expression) =
     (match e.Typedtree.exp_desc with
-    | Typedtree.Texp_function { cases; _ } -> List.iter record_params cases
     | Typedtree.Texp_apply (f, args) -> (
-        let head =
-          match Typed_loader.head_path f with
-          | Some (Path.Pident id)
-            when not (Hashtbl.mem params (Ident.unique_name id)) ->
-              (* bare call: a definition of this unit (module-local
-                 forwarders are called unqualified) *)
-              Some (!cur_prefix ^ "." ^ Ident.name id)
-          | Some p -> Some (Typed_loader.canon_of_path r p)
-          | None -> None
-        in
-        match head with
-        | Some h -> (
-            match List.assoc_opt h known with
-            | Some kind ->
-                List.iter
-                  (fun (_, a) ->
-                    match a with
-                    | Some (arg : Typedtree.expression)
-                      when is_string_type arg.Typedtree.exp_type -> (
-                        let lits =
-                          List.map
-                            (fun (s, loc) -> (s, Typed_loader.line_of loc))
-                            (Typed_loader.string_literals arg)
-                        in
-                        match (lits, arg.Typedtree.exp_desc) with
-                        | [], Typedtree.Texp_ident (Path.Pident id, _, _)
-                          when Hashtbl.mem params (Ident.unique_name id) ->
-                            (* a forwarded parameter: the enclosing def
-                               becomes a recorder, its callers are
-                               checked instead *)
-                            Option.iter
-                              (fun name -> forwarders := (name, kind) :: !forwarders)
-                              !current
-                        | [], _ ->
-                            sites :=
-                              {
-                                s_source = u.Typed_loader.source;
-                                s_line =
-                                  Typed_loader.line_of e.Typedtree.exp_loc;
-                                s_kind = kind;
-                                s_names = [];
-                                s_checkable = false;
-                              }
-                              :: !sites
-                        | lits, _ ->
-                            sites :=
-                              {
-                                s_source = u.Typed_loader.source;
-                                s_line =
-                                  Typed_loader.line_of e.Typedtree.exp_loc;
-                                s_kind = kind;
-                                s_names = lits;
-                                s_checkable = true;
-                              }
-                              :: !sites)
-                    | _ -> ())
-                  args
-            | None -> ())
+        match
+          Option.bind (Typed_loader.head_canon r f) (fun h ->
+              List.assoc_opt h Catalog.metric_readers)
+        with
+        | Some kind ->
+            List.iter
+              (fun (_, a) ->
+                match a with
+                | Some (arg : Typedtree.expression)
+                  when is_string_type arg.Typedtree.exp_type ->
+                    List.iter (check_name kind)
+                      (Typed_loader.string_literals arg)
+                | _ -> ())
+              args
         | None -> ())
     | _ -> ());
     default_iterator.expr sub e
   in
   let it = { default_iterator with expr } in
-  let rec walk_items prefix (items : Typedtree.structure_item list) =
-    List.iter
-      (fun (item : Typedtree.structure_item) ->
-        match item.Typedtree.str_desc with
-        | Typedtree.Tstr_value (_, vbs) ->
-            List.iter
-              (fun (vb : Typedtree.value_binding) ->
-                Hashtbl.reset params;
-                (current :=
-                   match vb.Typedtree.vb_pat.Typedtree.pat_desc with
-                   | Typedtree.Tpat_var (id, _) ->
-                       Some (prefix ^ "." ^ Ident.name id)
-                   | _ -> None);
-                cur_prefix := prefix;
-                it.expr it vb.Typedtree.vb_expr)
-              vbs
-        | Typedtree.Tstr_eval (e, _) ->
-            Hashtbl.reset params;
-            current := None;
-            cur_prefix := prefix;
-            it.expr it e
-        | Typedtree.Tstr_module
-            {
-              Typedtree.mb_id = Some id;
-              mb_expr =
-                { Typedtree.mod_desc = Typedtree.Tmod_structure str; _ };
-              _;
-            } ->
-            walk_items (prefix ^ "." ^ Ident.name id) str.Typedtree.str_items
-        | _ -> ())
-      items
-  in
-  walk_items u.Typed_loader.canon u.Typed_loader.structure.Typedtree.str_items;
-  (!sites, !forwarders)
-
-let check (units : Typed_loader.unit_info list) =
-  (* forwarder discovery to a fixpoint (bounded: forwarding chains in
-     this repo are one hop, the bound is just a backstop) *)
-  let known = ref Catalog.metric_recorders in
-  let continue_ = ref true in
-  let rounds = ref 0 in
-  let all_sites = ref [] in
-  while !continue_ && !rounds < 4 do
-    incr rounds;
-    continue_ := false;
-    all_sites := [];
-    List.iter
-      (fun u ->
-        let sites, forwarders = scan_unit ~known:!known u in
-        let sites =
-          if Catalog.e2_exempt u.Typed_loader.source then [] else sites
-        in
-        all_sites := sites @ !all_sites;
-        List.iter
-          (fun (name, kind) ->
-            if not (List.mem_assoc name !known) then (
-              known := (name, kind) :: !known;
-              continue_ := true))
-          forwarders)
-      units
-  done;
-  let ds = ref [] in
-  let add ~file ~line ~suggestion msg =
-    ds := D.v ~file ~line ~rule:"E2" ~suggestion msg :: !ds
-  in
-  List.iter
-    (fun s ->
-      if not s.s_checkable then
-        add ~file:s.s_source ~line:s.s_line
-          ~suggestion:
-            "pass the metric name as a string literal (or through a direct \
-             forwarding parameter)"
-          "metric name is not statically checkable"
-      else
-        List.iter
-          (fun (name, line) ->
-            match List.assoc_opt name Catalog.metrics with
-            | None ->
-                add ~file:s.s_source ~line
-                  ~suggestion:"add it to Catalog.metrics and DESIGN.md §8"
-                  (Printf.sprintf "metric %S is not in the catalog" name)
-            | Some k when k <> s.s_kind ->
-                add ~file:s.s_source ~line
-                  ~suggestion:"fix the call or the catalog entry"
-                  (Printf.sprintf
-                     "metric %S is a %s in the catalog but used as a %s here"
-                     name
-                     (Catalog.metric_kind_name k)
-                     (Catalog.metric_kind_name s.s_kind))
-            | Some _ -> ())
-          s.s_names)
-    (List.sort compare !all_sites);
+  it.structure it u.Typed_loader.structure;
   List.rev !ds
+
+let check units = List.concat_map check_unit units
 
 (* ---------- DESIGN.md drift check (repo mode only) ---------- *)
 
@@ -253,51 +102,42 @@ let parse_design_table source =
     (String.split_on_char '\n' source);
   List.rev !rows
 
-let kind_of_word = function
-  | "counter" -> Some Catalog.MCounter
-  | "gauge" -> Some Catalog.MGauge
-  | "histogram" -> Some Catalog.MHist
-  | _ -> None
-
 let check_design ~design_path source =
   let rows = parse_design_table source in
+  let declared = Metric.all () in
   let ds = ref [] in
   let add msg suggestion =
     ds := D.v ~file:design_path ~line:1 ~rule:"E2" ~suggestion msg :: !ds
   in
-  (* catalog -> table *)
+  (* declarations -> table *)
   List.iter
     (fun (name, kind) ->
       match List.assoc_opt name rows with
       | None ->
           add
             (Printf.sprintf
-               "metric %S is in Catalog.metrics but missing from the \
+               "metric %S is declared in Gc_obs.Metric but missing from the \
                 DESIGN.md §8 table"
                name)
             "add the table row"
-      | Some word -> (
-          match kind_of_word word with
-          | Some k when k = kind -> ()
-          | _ ->
-              add
-                (Printf.sprintf
-                   "metric %S is a %s in Catalog.metrics but %S in the \
-                    DESIGN.md §8 table"
-                   name
-                   (Catalog.metric_kind_name kind)
-                   word)
-                "make the kinds agree"))
-    Catalog.metrics;
-  (* table -> catalog *)
+      | Some word when word = Metric.kind_name kind -> ()
+      | Some word ->
+          add
+            (Printf.sprintf
+               "metric %S is a %s in Gc_obs.Metric but %S in the DESIGN.md \
+                §8 table"
+               name (Metric.kind_name kind) word)
+            "make the kinds agree")
+    declared;
+  (* table -> declarations *)
   List.iter
     (fun (name, _) ->
-      if not (List.mem_assoc name Catalog.metrics) then
+      if not (List.mem_assoc name declared) then
         add
           (Printf.sprintf
-             "metric %S is in the DESIGN.md §8 table but missing from \
-              Catalog.metrics"
+             "metric %S is in the DESIGN.md §8 table but not declared in \
+              Gc_obs.Metric"
              name)
-          "add the catalog entry")
+          "declare it")
     rows;
   List.rev !ds

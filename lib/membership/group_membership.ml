@@ -1,5 +1,6 @@
 module Process = Gc_kernel.Process
 module Rc = Gc_rchannel.Reliable_channel
+module Metric = Gc_obs.Metric
 
 type transport = {
   broadcast : Gc_net.Payload.t -> unit;
@@ -100,11 +101,12 @@ let install t v =
   t.current <- v;
   t.pending_removes <- [];
   t.n_views <- t.n_views + 1;
-  Process.incr t.proc "membership.view_changes";
+  Process.incr t.proc Metric.membership_view_changes;
   (match t.change_proposed_at with
   | Some since ->
       t.change_proposed_at <- None;
-      Process.observe t.proc "membership.change_ms" (Process.now t.proc -. since)
+      Process.observe t.proc Metric.membership_change_ms
+        (Process.now t.proc -. since)
   | None -> ());
   Process.event t.proc ~component:"membership" ~kind:Gc_obs.Event.ViewInstall
     ~msg:(Printf.sprintf "view:%d" v.View.vid)
@@ -117,7 +119,8 @@ let install t v =
   List.iter (fun f -> f v) (List.rev t.view_subscribers);
   if t.joined && not (View.mem v (me t)) then begin
     t.left <- true;
-    Process.emit t.proc ~component:"membership" ~event:"left" ();
+    Process.event t.proc ~component:"membership"
+      ~kind:(Gc_obs.Event.Custom "left") ();
     List.iter (fun f -> f ()) (List.rev t.left_subscribers)
   end
 
@@ -179,7 +182,7 @@ let create proc ~rc ~transport ?(state_transfer_delay = 0.0) ?state_provider
      gauge exists so merged reports show the 0 explicitly, against the
      traditional stack's [traditional.blocked_ms_total]. *)
   Gc_obs.Metrics.set_gauge (Process.metrics proc)
-    "membership.sender_blocked_ms_total" 0.0;
+    Metric.membership_sender_blocked_ms_total 0.0;
   transport.subscribe (fun ~origin payload ->
       match payload with
       | Mb_change { adds; removes; sponsor } ->
@@ -205,7 +208,7 @@ let create proc ~rc ~transport ?(state_transfer_delay = 0.0) ?state_provider
                  it directly with a fresh snapshot, or its join request
                  would be dropped on the floor and the process would hang
                  unjoined until its own exclusion and re-add. *)
-              Process.incr t.proc "membership.resyncs";
+              Process.incr t.proc Metric.membership_resyncs;
               ignore
                 (Process.timer t.proc ~delay:t.state_transfer_delay (fun () ->
                      let snapshot =
@@ -223,7 +226,7 @@ let create proc ~rc ~transport ?(state_transfer_delay = 0.0) ?state_provider
             (match t.join_requested_at with
             | Some since ->
                 t.join_requested_at <- None;
-                Process.observe t.proc "membership.join_ms"
+                Process.observe t.proc Metric.membership_join_ms
                   (Process.now t.proc -. since)
             | None -> ());
             install t view

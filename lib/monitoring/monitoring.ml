@@ -3,6 +3,7 @@ module Fd = Gc_fd.Failure_detector
 module Rc = Gc_rchannel.Reliable_channel
 module Gm = Gc_membership.Group_membership
 module Sorted = Gc_sim.Sorted
+module Metric = Gc_obs.Metric
 
 type policy =
   | Immediate
@@ -62,10 +63,10 @@ let suspector_set t q =
 let propose_exclusion t q reason =
   if (not t.stopped) && Gc_membership.View.mem (Gm.view t.membership) q then begin
     t.proposed <- t.proposed + 1;
-    Process.incr t.proc "monitoring.exclusions_proposed";
+    Process.incr t.proc Metric.monitoring_exclusions_proposed;
     if Process.oracle_alive t.proc q then begin
       t.wrongful <- t.wrongful + 1;
-      Process.incr t.proc "monitoring.wrongful_exclusions"
+      Process.incr t.proc Metric.monitoring_wrongful_exclusions
     end;
     Process.event t.proc ~component:"monitoring" ~kind:Gc_obs.Event.Exclude
       ~attrs:[ ("peer", string_of_int q); ("reason", reason) ]

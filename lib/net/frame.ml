@@ -51,7 +51,7 @@ module Decoder = struct
   let reject t =
     t.rejected <- t.rejected + 1;
     match t.metrics with
-    | Some m -> Gc_obs.Metrics.incr m "net.frame_reject"
+    | Some m -> Gc_obs.Metrics.incr m Gc_obs.Metric.net_frame_reject
     | None -> ()
 
   let ensure_room t extra =

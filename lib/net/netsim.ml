@@ -1,6 +1,7 @@
 module Engine = Gc_sim.Engine
 module Rng = Gc_sim.Rng
 module Trace = Gc_sim.Trace
+module Metric = Gc_obs.Metric
 
 type link = {
   mutable delay : Delay.t;
@@ -61,11 +62,11 @@ let bump t name =
 
 let drop_policy t =
   t.dropped_policy <- t.dropped_policy + 1;
-  bump t "net.dropped_policy"
+  bump t Metric.net_dropped_policy
 
 let drop_gone t =
   t.dropped_gone <- t.dropped_gone + 1;
-  bump t "net.dropped_gone"
+  bump t Metric.net_dropped_gone
 
 let check_node t node name =
   if node < 0 || node >= t.n then
@@ -127,13 +128,15 @@ let partition t groups =
   let extra = List.length groups in
   Array.iteri (fun i gid -> if gid = -1 then g.(i) <- extra) g;
   t.group_of <- Some g;
-  Trace.emit t.trace ~time:(Engine.now t.engine) ~node:(-1) ~component:"net"
-    ~event:"partition" ()
+  Trace.emit_event t.trace ~time:(Engine.now t.engine) ~node:(-1)
+    ~component:"net"
+    ~kind:(Gc_obs.Event.Custom "partition") ()
 
 let heal t =
   t.group_of <- None;
-  Trace.emit t.trace ~time:(Engine.now t.engine) ~node:(-1) ~component:"net"
-    ~event:"heal" ()
+  Trace.emit_event t.trace ~time:(Engine.now t.engine) ~node:(-1)
+    ~component:"net"
+    ~kind:(Gc_obs.Event.Custom "heal") ()
 
 let delay_spike t ~nodes ~until ~extra =
   List.iter
@@ -194,7 +197,7 @@ let send t ?(size = 64) ~src ~dst payload =
     schedule_copy ();
     if link.dup > 0.0 && Rng.bernoulli t.rng link.dup then begin
       t.duplicated <- t.duplicated + 1;
-      bump t "net.duplicated";
+      bump t Metric.net_duplicated;
       schedule_copy ()
     end
   end

@@ -57,11 +57,10 @@ val of_json : Json.t -> t
 
 val write_jsonl : out_channel -> t list -> unit
 
-val read_jsonl : in_channel -> t list
-(** Blank lines are skipped.  @raise Failure on a malformed line. *)
-
 val save_jsonl : string -> t list -> unit
+
 val load_jsonl : string -> t list
+(** Blank lines are skipped.  @raise Failure on a malformed line. *)
 
 (** {1 Chrome trace_event export} *)
 

@@ -49,7 +49,11 @@ let counter_ref t name =
       Hashtbl.add t.entries name (Counter r);
       r
 
-let incr ?(by = 1) t name = counter_ref t name := !(counter_ref t name) + by
+let add_counter t name by =
+  let r = counter_ref t name in
+  r := !r + by
+
+let incr ?(by = 1) t c = add_counter t (Metric.name c) by
 
 let gauge_ref t name =
   match Hashtbl.find_opt t.entries name with
@@ -60,7 +64,7 @@ let gauge_ref t name =
       Hashtbl.add t.entries name (Gauge r);
       r
 
-let set_gauge t name v = gauge_ref t name := v
+let set_gauge t g v = gauge_ref t (Metric.name g) := v
 
 let hist t name =
   match Hashtbl.find_opt t.entries name with
@@ -79,8 +83,8 @@ let hist t name =
       Hashtbl.add t.entries name (Hist h);
       h
 
-let observe t name value =
-  let h = hist t name in
+let observe t m value =
+  let h = hist t (Metric.name m) in
   let b = bucket_of value in
   h.counts.(b) <- h.counts.(b) + 1;
   h.count <- h.count + 1;
@@ -189,8 +193,8 @@ let of_views vs =
   List.iter
     (fun (name, v) ->
       match v with
-      | V_counter n -> incr ~by:n t name
-      | V_gauge g -> set_gauge t name g
+      | V_counter n -> add_counter t name n
+      | V_gauge g -> gauge_ref t name := g
       | V_hist hv ->
           let h = hist t name in
           List.iter
@@ -212,7 +216,7 @@ let merge_into ~into src =
   Hashtbl.iter
     (fun name entry ->
       match entry with
-      | Counter r -> incr ~by:!r into name
+      | Counter r -> add_counter into name !r
       | Gauge r ->
           let g = gauge_ref into name in
           if !r > !g then g := !r
@@ -295,8 +299,8 @@ let of_json (j : Json.t) =
         (fun (name, v) ->
           match Json.member "type" v with
           | Some (Str "counter") ->
-              incr ~by:(int_of_float (float_field v "value")) t name
-          | Some (Str "gauge") -> set_gauge t name (float_field v "value")
+              add_counter t name (int_of_float (float_field v "value"))
+          | Some (Str "gauge") -> gauge_ref t name := float_field v "value"
           | Some (Str "hist") ->
               let h = hist t name in
               (match Json.member "buckets" v with

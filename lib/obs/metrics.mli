@@ -2,11 +2,13 @@
     histograms.
 
     The registry is designed to be left on in every run: recording a
-    counter is one integer increment, recording a histogram sample is one
-    array bump plus four scalar updates.  Names are flat dotted strings
-    ([layer.metric], e.g. ["consensus.instances_decided"],
-    ["abcast.latency_ms"]); entries are created lazily on first use, so
-    layers never need to pre-register anything.
+    counter is one table lookup and one integer increment, recording a
+    histogram sample is one lookup, one array bump and four scalar
+    updates.  Recorders take the typed names declared in {!Metric}; the
+    registry keys entries by their flat dotted string
+    ([layer.metric], e.g. ["consensus.instances_decided"]), which is also
+    what the readers below take.  Entries are created lazily on first
+    record, so a metric that never fired is absent.
 
     Histograms use 4 log-spaced buckets per octave starting at 0.001 ms
     (128 buckets total), giving quantile estimates within ~19% relative
@@ -14,7 +16,8 @@
     are kept alongside and quantiles are clamped to the observed extremes.
 
     A metric name denotes one kind for the lifetime of the registry —
-    using it as a different kind raises [Invalid_argument]. *)
+    recording into an entry rebuilt as a different kind (by {!of_views}
+    or {!of_json}) raises [Invalid_argument]. *)
 
 type t
 
@@ -22,13 +25,13 @@ val create : unit -> t
 
 (** {1 Recording} *)
 
-val incr : ?by:int -> t -> string -> unit
+val incr : ?by:int -> t -> Metric.counter Metric.t -> unit
 (** Bump a counter (created at 0 on first use). *)
 
-val set_gauge : t -> string -> float -> unit
+val set_gauge : t -> Metric.gauge Metric.t -> float -> unit
 (** Set a gauge to its latest reading. *)
 
-val observe : t -> string -> float -> unit
+val observe : t -> Metric.histogram Metric.t -> float -> unit
 (** Record one histogram sample (unit: whatever the metric's name says,
     milliseconds for the built-in [*_ms] metrics). *)
 
@@ -90,7 +93,6 @@ val bucket_upper : int -> float
     keep the maximum (the interesting cross-node reading for e.g. blocked
     time). *)
 
-val merge_into : into:t -> t -> unit
 val merged : t list -> t
 
 (** {1 Serialisation} *)

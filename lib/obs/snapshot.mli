@@ -17,9 +17,6 @@ type t
     never changes as recording continues. *)
 
 val of_metrics : Metrics.t -> t
-val to_metrics : t -> Metrics.t
-(** Rebuild a live registry holding the snapshot's values (e.g. to merge
-    scraped snapshots across replicas with {!Metrics.merge_into}). *)
 
 (** {1 Reading} *)
 

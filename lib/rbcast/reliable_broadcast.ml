@@ -1,5 +1,6 @@
 module Process = Gc_kernel.Process
 module Rc = Gc_rchannel.Reliable_channel
+module Metric = Gc_obs.Metric
 
 type Gc_net.Payload.t +=
   | Rb_msg of {
@@ -50,7 +51,7 @@ type t = {
 
 let deliver t ~origin inner =
   t.delivered <- t.delivered + 1;
-  Process.incr t.proc "rbcast.delivered";
+  Process.incr t.proc Metric.rbcast_delivered;
   List.iter (fun f -> f ~origin inner) (List.rev t.subscribers)
 
 let handle t = function
@@ -96,7 +97,7 @@ let create proc ?(epoch = 0) rc =
   t
 
 let broadcast t ?(size = 64) ~dests inner =
-  Process.incr t.proc "rbcast.broadcasts";
+  Process.incr t.proc Metric.rbcast_broadcasts;
   let origin = Process.id t.proc in
   let bid = t.next_bid in
   t.next_bid <- bid + 1;

@@ -1,6 +1,7 @@
 module Process = Gc_kernel.Process
 module Engine = Gc_sim.Engine
 module Sorted = Gc_sim.Sorted
+module Metric = Gc_obs.Metric
 
 (* [gen] is the connection generation: [forget] starts a new generation, so
    that the receiver does not wait forever for sequence numbers whose
@@ -88,7 +89,8 @@ type t = {
   inc : (int, incoming) Hashtbl.t;
   mutable subscribers : (src:int -> Gc_net.Payload.t -> unit) list;
   mutable on_stuck : (dst:int -> age:float -> unit) option;
-  mutable accepted : int;
+  mutable window_peak : float; (* the rchannel.window_peak gauge, kept here so
+                                  a send reads no registry entry *)
   loopback : Gc_net.Payload.t Queue.t; (* self-sends awaiting their 0-delay hop *)
 }
 
@@ -110,9 +112,11 @@ let retx_interval t p = t.rto *. float_of_int (1 lsl min p.tries backoff_cap)
 
 let note_window t (o : outgoing) =
   let len = float_of_int (Window.length o.window) in
-  Process.set_gauge t.proc "rchannel.window_occupancy" len;
-  if len > Gc_obs.Metrics.gauge (Process.metrics t.proc) "rchannel.window_peak"
-  then Process.set_gauge t.proc "rchannel.window_peak" len
+  Process.set_gauge t.proc Metric.rchannel_window_occupancy len;
+  if len > t.window_peak then begin
+    t.window_peak <- len;
+    Process.set_gauge t.proc Metric.rchannel_window_peak len
+  end
 
 let outgoing_for t dst =
   match Hashtbl.find_opt t.out dst with
@@ -152,7 +156,7 @@ let handle_data t ~src ~gen ~seq ~inner =
     (* Stale-generation retransmission.  Acking it with the *current* gen
        would manufacture acknowledgements for sequence numbers of the new
        stream the old-gen copy says nothing about; drop it silently. *)
-    Process.incr t.proc "rchannel.stale_gen_ignored"
+    Process.incr t.proc Metric.rchannel_stale_gen_ignored
   else begin
     if seq >= i.expected && not (Hashtbl.mem i.buffer seq) then
       Hashtbl.replace i.buffer seq inner;
@@ -196,14 +200,14 @@ let resend_due t dst (o : outgoing) ~now =
           p.last_tx <- now;
           p.tries <- p.tries + 1;
           incr sent;
-          Process.incr t.proc "rchannel.retransmissions";
+          Process.incr t.proc Metric.rchannel_retransmissions;
           Process.send t.proc ~size:p.size ~dst
             (Rc_data { gen = o.gen; seq; inner = p.inner; size = p.size })
         end;
         true
       end);
   if !sent > 0 then
-    Process.observe t.proc "rchannel.retransmit_burst" (float_of_int !sent)
+    Process.observe t.proc Metric.rchannel_retransmit_burst (float_of_int !sent)
 
 (* The destination restarted: its incoming state for this stream — the
    delivered prefix, the reorder buffer — is gone, so the acknowledged
@@ -221,8 +225,9 @@ let renumber t dst (o : outgoing) =
   Window.reset o.window;
   o.gen <- o.gen + 1;
   o.stuck_reported <- false;
-  Process.incr t.proc "rchannel.stream_resets";
-  Process.emit t.proc ~component:"rchannel" ~event:"stream_reset"
+  Process.incr t.proc Metric.rchannel_stream_resets;
+  Process.event t.proc ~component:"rchannel"
+    ~kind:(Gc_obs.Event.Custom "stream_reset")
     ~attrs:[ ("dst", string_of_int dst); ("gen", string_of_int o.gen) ]
     ();
   let now = Process.now t.proc in
@@ -275,8 +280,9 @@ let retransmit t =
           let age = now -. oldest.since in
           if age > t.stuck_after then begin
             o.stuck_reported <- true;
-            Process.incr t.proc "rchannel.stuck_detections";
-            Process.emit t.proc ~component:"rchannel" ~event:"stuck"
+            Process.incr t.proc Metric.rchannel_stuck_detections;
+            Process.event t.proc ~component:"rchannel"
+              ~kind:(Gc_obs.Event.Custom "stuck")
               ~attrs:
                 [ ("dst", string_of_int dst); ("age_ms", Printf.sprintf "%.0f" age) ]
               ();
@@ -298,15 +304,17 @@ let create proc ?(epoch = 0) ?(rto = 50.0) ?(stuck_after = 10_000.0)
       inc = Hashtbl.create 16;
       subscribers = [];
       on_stuck = None;
-      accepted = 0;
+      window_peak =
+        Gc_obs.Metrics.gauge (Process.metrics proc)
+          (Metric.name Metric.rchannel_window_peak);
       loopback = Queue.create ();
     }
   in
   (* Pre-register the headline counters so merged reports carry them even
      when nothing fired (absent and zero must read the same). *)
-  Process.incr ~by:0 proc "rchannel.sends";
-  Process.incr ~by:0 proc "rchannel.retransmissions";
-  Process.incr ~by:0 proc "rchannel.stream_resets";
+  Process.incr ~by:0 proc Metric.rchannel_sends;
+  Process.incr ~by:0 proc Metric.rchannel_retransmissions;
+  Process.incr ~by:0 proc Metric.rchannel_stream_resets;
   Process.on_receive proc (fun ~src payload ->
       match payload with
       | Rc_data { gen; seq; inner; _ } -> handle_data t ~src ~gen ~seq ~inner
@@ -317,8 +325,7 @@ let create proc ?(epoch = 0) ?(rto = 50.0) ?(stuck_after = 10_000.0)
 
 let send t ?(size = 64) ~dst payload =
   if Process.alive t.proc then begin
-    t.accepted <- t.accepted + 1;
-    Process.incr t.proc "rchannel.sends";
+    Process.incr t.proc Metric.rchannel_sends;
     if dst = Process.id t.proc then begin
       (* Local loopback: deliver through the event queue so that a broadcast
          to a set including self behaves uniformly (no synchronous
@@ -387,5 +394,3 @@ let unacked t ~dst =
   match Hashtbl.find_opt t.out dst with
   | None -> 0
   | Some o -> Window.length o.window
-
-let sent_count t = t.accepted

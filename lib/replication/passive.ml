@@ -2,6 +2,7 @@ module Stack = Gcs.Gcs_stack
 module Rc = Gc_rchannel.Reliable_channel
 module Fd = Gc_fd.Failure_detector
 module View = Gc_membership.View
+module Metric = Gc_obs.Metric
 
 type Gc_net.Payload.t +=
   | Pa_update of {
@@ -97,7 +98,7 @@ let handle_update t ~origin u =
         (* Ordered after a primary change: the paper's outcome 2 — the old
            primary's processing is void; the client will retry. *)
         t.n_discarded <- t.n_discarded + 1;
-        Gc_kernel.Process.incr (Stack.process t.stack) "passive.discards";
+        Gc_kernel.Process.incr (Stack.process t.stack) Metric.passive_discards;
         if Gc_kernel.Process.traced (Stack.process t.stack) then
           Gc_kernel.Process.event (Stack.process t.stack) ~component:"passive"
             ~kind:(Gc_obs.Event.Custom "discard")
@@ -117,7 +118,8 @@ let handle_change t e =
     Hashtbl.reset t.in_flight;
     t.change_requested <- false;
     t.n_changes <- t.n_changes + 1;
-    Gc_kernel.Process.incr (Stack.process t.stack) "passive.primary_changes";
+    Gc_kernel.Process.incr (Stack.process t.stack)
+      Metric.passive_primary_changes;
     if Gc_kernel.Process.traced (Stack.process t.stack) then
       Gc_kernel.Process.event (Stack.process t.stack) ~component:"passive"
         ~kind:(Gc_obs.Event.Custom "primary_change")

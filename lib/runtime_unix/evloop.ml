@@ -1,4 +1,5 @@
 module Heap = Gc_sim.Heap
+module Metric = Gc_obs.Metric
 
 type timer_cell = {
   deadline : float;
@@ -110,9 +111,9 @@ let fire_due t =
         (match t.metrics with
         | Some m ->
             let lag = now t -. cell.deadline in
-            Gc_obs.Metrics.observe m "evloop.timer_lag_ms" lag;
+            Gc_obs.Metrics.observe m Metric.evloop_timer_lag_ms lag;
             if lag > overdue_ms then
-              Gc_obs.Metrics.incr m "evloop.timer_overdue"
+              Gc_obs.Metrics.incr m Metric.evloop_timer_overdue
         | None -> ());
         cell.cell_f ();
         go ()
@@ -188,11 +189,11 @@ let run_once t ~max_wait =
   | None -> ()
   | Some m ->
       let t_done = now t in
-      Gc_obs.Metrics.incr m "evloop.ticks";
-      Gc_obs.Metrics.observe m "evloop.select_wait_ms" (t_woke -. t0);
-      Gc_obs.Metrics.observe m "evloop.callback_ms" (t_done -. t_woke);
-      Gc_obs.Metrics.observe m "evloop.tick_ms" (t_done -. t0);
-      Gc_obs.Metrics.set_gauge m "evloop.open_fds"
+      Gc_obs.Metrics.incr m Metric.evloop_ticks;
+      Gc_obs.Metrics.observe m Metric.evloop_select_wait_ms (t_woke -. t0);
+      Gc_obs.Metrics.observe m Metric.evloop_callback_ms (t_done -. t_woke);
+      Gc_obs.Metrics.observe m Metric.evloop_tick_ms (t_done -. t0);
+      Gc_obs.Metrics.set_gauge m Metric.evloop_open_fds
         (float_of_int (Hashtbl.length t.watchers))
 
 let run_for t ms =

@@ -1,4 +1,5 @@
 module Frame = Gc_net.Frame
+module Metric = Gc_obs.Metric
 
 let out_cap = 256 * 1024
 
@@ -77,7 +78,7 @@ let rec flush t =
       | written ->
           t.out_pos <- t.out_pos + written;
           t.bytes_out <- t.bytes_out + written;
-          count t "net.bytes_out" written;
+          count t Metric.net_bytes_out written;
           if written = n then flush t
           else Evloop.set_write t.loop t.sock (Some (fun () -> flush t))
       | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) ->
@@ -103,7 +104,7 @@ let send t payload =
         if pending_out t + String.length frame <= out_cap then begin
           Buffer.add_string t.out frame;
           t.frames_out <- t.frames_out + 1;
-          count t "net.frames_out" 1;
+          count t Metric.net_frames_out 1;
           if not t.connecting then flush t
         end
 
@@ -112,7 +113,7 @@ let rec drain_frames t =
     match Frame.Decoder.next t.decoder with
     | `Payload p ->
         t.frames_in <- t.frames_in + 1;
-        count t "net.frames_in" 1;
+        count t Metric.net_frames_in 1;
         t.on_payload t p;
         drain_frames t
     | `Await -> ()
@@ -127,7 +128,7 @@ let on_readable t () =
     | 0 -> close t
     | n ->
         t.bytes_in <- t.bytes_in + n;
-        count t "net.bytes_in" n;
+        count t Metric.net_bytes_in n;
         Frame.Decoder.feed t.decoder t.scratch ~off:0 ~len:n;
         drain_frames t
     | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) -> ()

@@ -17,6 +17,7 @@
 
 module Metrics = Gc_obs.Metrics
 module Wire = Gc_net.Wire
+module Metric = Gc_obs.Metric
 
 type t = {
   dir : string;
@@ -95,7 +96,7 @@ let scan s =
   (List.rev !records, !good)
 
 let update_gauge t =
-  Metrics.set_gauge t.metrics "storage.log_entries"
+  Metrics.set_gauge t.metrics Metric.storage_log_entries
     (float_of_int (t.next - t.lo))
 
 let write_pending t =
@@ -124,7 +125,7 @@ let do_sync t =
     write_pending t;
     (try Unix.fsync t.fd with Unix.Unix_error _ -> ());
     t.dirty <- false;
-    Metrics.incr t.metrics "storage.syncs"
+    Metrics.incr t.metrics Metric.storage_syncs
   end
 
 let do_append t entry =
@@ -133,7 +134,7 @@ let do_append t entry =
   t.next <- idx + 1;
   frame t.pending ~index:idx entry;
   t.dirty <- true;
-  Metrics.incr t.metrics "storage.appends";
+  Metrics.incr t.metrics Metric.storage_appends;
   update_gauge t;
   if Buffer.length t.pending >= auto_sync_bytes then do_sync t;
   idx
@@ -177,7 +178,7 @@ let do_truncate_before t upto =
     (* The rewrite durably captured every live entry (temp + fsync +
        rename): nothing is left to sync. *)
     t.dirty <- false;
-    Metrics.incr t.metrics "storage.truncations";
+    Metrics.incr t.metrics Metric.storage_truncations;
     update_gauge t
   end
 
@@ -192,7 +193,7 @@ let do_save_snapshot t ~index blob =
       with Unix.Unix_error _ -> ());
   Unix.rename tmp (snapshot_path t.dir);
   fsync_dir t.dir;
-  Metrics.incr t.metrics "storage.snapshots"
+  Metrics.incr t.metrics Metric.storage_snapshots
 
 let do_load_snapshot t =
   let s = read_file (snapshot_path t.dir) in
@@ -215,7 +216,7 @@ let create ?metrics ~dir () =
   if good < String.length raw then begin
     (* Torn or corrupt tail: drop it on disk so the next open is clean. *)
     (try Unix.truncate (log_path dir) good with Unix.Unix_error _ -> ());
-    Metrics.incr m "storage.torn_tail_dropped"
+    Metrics.incr m Metric.storage_torn_tail_dropped
   end;
   let entries = Hashtbl.create 64 in
   List.iter (fun (idx, entry) -> Hashtbl.replace entries idx entry) records;

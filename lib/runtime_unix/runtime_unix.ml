@@ -1,6 +1,7 @@
 module Runtime = Gc_kernel.Runtime
 module Payload = Gc_net.Payload
 module Wire = Gc_net.Wire
+module Metric = Gc_obs.Metric
 
 type Payload.t += Datagram of { src : int; inner : Payload.t }
 
@@ -59,7 +60,7 @@ let deliver t ~src inner =
 let on_peer_payload t _conn payload =
   match payload with
   | Datagram { src; inner } -> deliver t ~src inner
-  | _ -> bump t "net.frame_reject" (* peers only speak Datagram *)
+  | _ -> bump t Metric.net_frame_reject (* peers only speak Datagram *)
 
 let accept_inbound t client _addr =
   let conn =
@@ -116,7 +117,7 @@ let set_peers t peers =
 
 let dial t link =
   link.last_dial <- Evloop.now t.loop;
-  bump t "net.reconnects";
+  bump t Metric.net_reconnects;
   match Unix.socket (Unix.domain_of_sockaddr link.addr) Unix.SOCK_STREAM 0 with
   | exception Unix.Unix_error _ -> ()
   | sock -> (
@@ -151,14 +152,14 @@ let send t ?size:_ ~src ~dst payload =
              deliver t ~src payload))
     else
       match Hashtbl.find_opt t.peers dst with
-      | None -> bump t "net.tx_drop"
+      | None -> bump t Metric.net_tx_drop
       | Some link -> (
           (match link.conn with
           | None when Evloop.now t.loop -. link.last_dial >= redial_ms ->
               dial t link
           | _ -> ());
           match link.conn with
-          | None -> bump t "net.tx_drop"
+          | None -> bump t Metric.net_tx_drop
           | Some conn -> Fconn.send conn (Datagram { src; inner = payload }))
 
 let shutdown t =

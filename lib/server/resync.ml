@@ -1,5 +1,6 @@
 module Stack = Gcs.Gcs_stack
 module Storage = Gc_kernel.Storage
+module Metric = Gc_obs.Metric
 
 (* Delta state transfer backs off this many entries below the joiner's
    announced log high-water mark: commuting deliveries may interleave
@@ -41,7 +42,7 @@ let apply_entry ~kv ~metrics ~on_fresh entry =
   | None -> ()
   | Some (origin, opid, op, ordered) ->
       if Kv.seen kv ~origin ~opid then
-        Gc_obs.Metrics.incr metrics "server.dup_ops_skipped"
+        Gc_obs.Metrics.incr metrics Metric.server_dup_ops_skipped
       else
         let result = Kv.apply kv ~origin ~opid ~ordered op in
         on_fresh ~entry ~origin ~opid ~result
@@ -53,7 +54,7 @@ let apply_entry ~kv ~metrics ~on_fresh entry =
    the full image. *)
 let provide ~kv ~metrics ?storage ~have () =
   let serve_full () =
-    Gc_obs.Metrics.incr metrics "server.full_transfers";
+    Gc_obs.Metrics.incr metrics Metric.server_full_transfers;
     Proto.Sv_state { blob = Kv.to_blob kv }
   in
   match storage with
@@ -64,7 +65,7 @@ let provide ~kv ~metrics ?storage ~have () =
         let entries = ref [] in
         Storage.iter_from store from (fun ~index:_ entry ->
             entries := entry :: !entries);
-        Gc_obs.Metrics.incr metrics "server.delta_transfers";
+        Gc_obs.Metrics.incr metrics Metric.server_delta_transfers;
         Proto.Sv_delta
           {
             from;
@@ -82,7 +83,7 @@ let install ~kv ~metrics ~on_fresh payload =
       match Kv.restore kv blob with
       | () -> `Installed
       | exception Gc_net.Wire.Short ->
-          Gc_obs.Metrics.incr metrics "server.bad_delivery";
+          Gc_obs.Metrics.incr metrics Metric.server_bad_delivery;
           `Unrecognised)
   | Proto.Sv_delta { from = _; entries; applied; digest } ->
       List.iter (fun entry -> apply_entry ~kv ~metrics ~on_fresh entry) entries;
@@ -96,9 +97,9 @@ let install ~kv ~metrics ~on_fresh payload =
       if Kv.applied_count kv = applied && Kv.applied_digest kv = digest then
         `Installed
       else begin
-        Gc_obs.Metrics.incr metrics "server.delta_rejected";
+        Gc_obs.Metrics.incr metrics Metric.server_delta_rejected;
         `Verify_failed
       end
   | _ ->
-      Gc_obs.Metrics.incr metrics "server.bad_delivery";
+      Gc_obs.Metrics.incr metrics Metric.server_bad_delivery;
       `Unrecognised

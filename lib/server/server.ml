@@ -7,6 +7,7 @@ module Process = Gc_kernel.Process
 module Storage = Gc_kernel.Storage
 module Json = Gc_obs.Json
 module Snapshot = Gc_obs.Snapshot
+module Metric = Gc_obs.Metric
 
 type t = {
   id : int;
@@ -163,22 +164,22 @@ let on_client_payload t conn payload =
       | None -> reply conn ~rid ~ok:false "not found")
   | Proto.Cl_dump { rid } -> reply conn ~rid ~ok:true (Kv.dump t.kv)
   | Proto.Cl_stats { rid; format } ->
-      Gc_obs.Metrics.incr t.metrics "server.stats_requests";
+      Gc_obs.Metrics.incr t.metrics Metric.server_stats_requests;
       reply conn ~rid ~ok:true (stats_body t format)
   | Proto.Cl_health { rid } ->
-      Gc_obs.Metrics.incr t.metrics "server.health_requests";
+      Gc_obs.Metrics.incr t.metrics Metric.server_health_requests;
       reply conn ~rid ~ok:true (health_body t)
-  | _ -> Gc_obs.Metrics.incr t.metrics "server.bad_request"
+  | _ -> Gc_obs.Metrics.incr t.metrics Metric.server_bad_request
 
 let on_delivery t ~origin:_ ~ordered payload =
   match payload with
   | Proto.Sv_op { origin; opid; op = _ } when Kv.seen t.kv ~origin ~opid ->
       (* Already applied during log replay or delta install — the live
          delivery raced the state transfer.  Skip, don't double-apply. *)
-      Gc_obs.Metrics.incr t.metrics "server.dup_ops_skipped"
+      Gc_obs.Metrics.incr t.metrics Metric.server_dup_ops_skipped
   | Proto.Sv_op { origin; opid; op } -> (
       let result = Kv.apply t.kv ~origin ~opid ~ordered op in
-      Gc_obs.Metrics.incr t.metrics "server.applied";
+      Gc_obs.Metrics.incr t.metrics Metric.server_applied;
       (* Mid-fallback window: a full Sv_state image is on its way and its
          restore will overwrite the KV wholesale.  This delivery is
          already marked consumed by the stack's dedup sets, so park it for
@@ -192,10 +193,10 @@ let on_delivery t ~origin:_ ~ordered payload =
             (* Client-visible submit->deliver latency at the serving
                replica, split by ordering primitive. *)
             let lat = now_ms t -. submitted in
-            Gc_obs.Metrics.observe t.metrics "server.latency_ms" lat;
+            Gc_obs.Metrics.observe t.metrics Metric.server_latency_ms lat;
             Gc_obs.Metrics.observe t.metrics
-              (if ordered then "server.latency_abcast_ms"
-               else "server.latency_rbcast_ms")
+              (if ordered then Metric.server_latency_abcast_ms
+               else Metric.server_latency_rbcast_ms)
               lat;
             (* Acked-means-durable mode: the delivery was appended to the
                log just before this callback ran, so one sync here makes
@@ -205,14 +206,14 @@ let on_delivery t ~origin:_ ~ordered payload =
                match t.storage with
                | Some store ->
                    Storage.sync store;
-                   Gc_obs.Metrics.incr t.metrics "server.reply_syncs"
+                   Gc_obs.Metrics.incr t.metrics Metric.server_reply_syncs
                | None -> ());
             reply conn ~rid ~ok:true result
         | None -> ())
-  | _ -> Gc_obs.Metrics.incr t.metrics "server.bad_delivery"
+  | _ -> Gc_obs.Metrics.incr t.metrics Metric.server_bad_delivery
 
 let accept_client t sock _addr =
-  Gc_obs.Metrics.incr t.metrics "server.client_accepts";
+  Gc_obs.Metrics.incr t.metrics Metric.server_client_accepts;
   t.log "client connected";
   let conn =
     Fconn.attach ~loop:t.loop ~metrics:t.metrics sock
@@ -268,7 +269,7 @@ let create ~loop ~id ~initial ?config ?metrics ?(log = ignore) ?join_via
                incarnation := Gc_net.Wire.read_varint r;
                Kv.restore kv (Gc_net.Wire.read_str r)
              with Gc_net.Wire.Short ->
-               Gc_obs.Metrics.incr metrics "server.bad_delivery");
+               Gc_obs.Metrics.incr metrics Metric.server_bad_delivery);
             index
         | None -> 0
       in
@@ -276,11 +277,11 @@ let create ~loop ~id ~initial ?config ?metrics ?(log = ignore) ?join_via
           had_state := true;
           Resync.apply_entry ~kv ~metrics
             ~on_fresh:(fun ~entry:_ ~origin:_ ~opid:_ ~result:_ ->
-              Gc_obs.Metrics.incr metrics "server.recovered_ops")
+              Gc_obs.Metrics.incr metrics Metric.server_recovered_ops)
             entry);
       incarnation := !incarnation + 1;
       persist ();
-      Gc_obs.Metrics.observe metrics "server.recovery_ms"
+      Gc_obs.Metrics.observe metrics Metric.server_recovery_ms
         ((Unix.gettimeofday () -. t0) *. 1000.);
       log
         (Printf.sprintf "recovered incarnation %d: %s" !incarnation
@@ -325,7 +326,7 @@ let create ~loop ~id ~initial ?config ?metrics ?(log = ignore) ?join_via
           (fun (origin, opid, op, ordered) ->
             if not (Kv.seen kv ~origin ~opid) then begin
               ignore (Kv.apply kv ~origin ~opid ~ordered op);
-              Gc_obs.Metrics.incr metrics "server.applied"
+              Gc_obs.Metrics.incr metrics Metric.server_applied
             end)
           buffered;
         (* An installed state must be durable before we serve on top of

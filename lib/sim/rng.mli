@@ -50,9 +50,6 @@ val uniform : t -> lo:float -> hi:float -> float
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean. *)
 
-val gaussian : t -> mu:float -> sigma:float -> float
-(** Normal distribution via Box–Muller. *)
-
 val lognormal : t -> mu:float -> sigma:float -> float
 (** Log-normal: [exp] of a Gaussian with parameters [mu], [sigma]. *)
 

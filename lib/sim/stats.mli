@@ -1,5 +1,5 @@
-(** Measurement helpers for experiments: samples, counters and formatted
-    summary rows.
+(** Measurement helpers for experiments: samples and formatted summary
+    rows.
 
     All experiment tables in the benchmark harness are produced from these
     aggregates, so the formatting lives here rather than being re-invented in
@@ -16,9 +16,6 @@ val count : sample -> int
 val mean : sample -> float
 (** Mean of the observations; [nan] when empty. *)
 
-val stddev : sample -> float
-(** Population standard deviation; [nan] when empty. *)
-
 val min_value : sample -> float
 val max_value : sample -> float
 
@@ -27,14 +24,6 @@ val percentile : sample -> float -> float
     observations; [nan] when empty. *)
 
 val median : sample -> float
-
-(** {1 Counters} *)
-
-type counter
-val counter : unit -> counter
-val incr : counter -> unit
-val incr_by : counter -> int -> unit
-val value : counter -> int
 
 (** {1 Table formatting} *)
 

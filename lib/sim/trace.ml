@@ -53,10 +53,6 @@ let emit_event t ~time ~node ~component ~kind ?msg ?(attrs = []) () =
     Queue.push { time; node; lamport; component; kind; msg; attrs } t.buf
   end
 
-let emit t ~time ~node ~component ~event ?attrs () =
-  emit_event t ~time ~node ~component ~kind:(Event.kind_of_string event) ?attrs
-    ()
-
 let detail = Event.detail
 let attr = Event.attr
 

@@ -4,7 +4,7 @@
     record carries the emitting node's Lamport clock, so a recorded run
     is an execution history the offline auditor ({!Gc_obs.Audit}) can
     replay and check.  The recorder also owns the per-node Lamport
-    clocks: {!emit} ticks the emitter's clock, and the network layer
+    clocks: {!emit_event} ticks the emitter's clock, and the network layer
     calls {!merge_clock} when a datagram arrives so causality crosses
     node boundaries.
 
@@ -55,12 +55,6 @@ val emit_event :
   unit ->
   unit
 (** Record a typed event, ticking [node]'s Lamport clock. *)
-
-val emit :
-  t -> time:float -> node:int -> component:string -> event:string ->
-  ?attrs:(string * string) list -> unit -> unit
-(** String-tagged convenience wrapper: [event] is mapped through
-    {!Gc_obs.Event.kind_of_string} (unknown tags become [Custom]). *)
 
 (** {1 Inspection} *)
 

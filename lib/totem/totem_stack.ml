@@ -3,6 +3,7 @@ module Fd = Gc_fd.Failure_detector
 module Rc = Gc_rchannel.Reliable_channel
 module Sorted = Gc_sim.Sorted
 module View = Gc_membership.View
+module Metric = Gc_obs.Metric
 
 type config = {
   hb_period : float;
@@ -271,8 +272,9 @@ and start_recovery t proposal joiners =
   t.my_recovery <- Some r;
   adopt_recovery t epoch;
   Hashtbl.replace r.responses (me t) (t.last_gseq, recovery_payload t);
-  Process.incr t.proc "totem.recoveries";
-  Process.emit t.proc ~component:"totem" ~event:"recovery_start"
+  Process.incr t.proc Metric.totem_recoveries;
+  Process.event t.proc ~component:"totem"
+    ~kind:(Gc_obs.Event.Custom "recovery_start")
     ~attrs:[ ("epoch", Printf.sprintf "%d,%d" (fst epoch) (snd epoch)) ]
     ();
   List.iter
@@ -382,7 +384,7 @@ and apply_install t ~view ~fill ~last_gseq =
   t.pending_joins <-
     List.filter (fun (p, _) -> not (View.mem view p)) t.pending_joins;
   Fd.set_peers t.fd view.View.members;
-  Process.incr t.proc "totem.view_changes";
+  Process.incr t.proc Metric.totem_view_changes;
   Process.event t.proc ~component:"totem" ~kind:Gc_obs.Event.ViewInstall
     ~msg:(Printf.sprintf "view:%d" view.View.vid)
     ~attrs:
@@ -404,7 +406,7 @@ and handle_install t ~epoch ~view ~fill ~last_gseq =
       t.view <- view;
       t.n_exclusions <- t.n_exclusions + 1;
       t.excluded_since <- Some (Process.now t.proc);
-      Process.incr t.proc "totem.exclusions";
+      Process.incr t.proc Metric.totem_exclusions;
       Process.event t.proc ~component:"totem" ~kind:Gc_obs.Event.Exclude
         ~attrs:[ ("peer", string_of_int (me t)) ]
         ();
@@ -463,9 +465,9 @@ let handle_state t ~view ~last_gseq ~app =
 let create runtime ~id ~initial ?(config = default_config)
     ?app_state_provider ?app_state_installer () =
   let proc = Process.create runtime ~id in
-  Process.incr ~by:0 proc "totem.recoveries";
-  Process.incr ~by:0 proc "totem.view_changes";
-  Process.incr ~by:0 proc "totem.exclusions";
+  Process.incr ~by:0 proc Metric.totem_recoveries;
+  Process.incr ~by:0 proc Metric.totem_view_changes;
+  Process.incr ~by:0 proc Metric.totem_exclusions;
   let fd = Fd.create proc ~hb_period:config.hb_period ~peers:initial () in
   let rc = Rc.create proc ~rto:config.rto () in
   let t_ref = ref None in

@@ -5,6 +5,7 @@ module Rb = Gc_rbcast.Reliable_broadcast
 module Consensus = Gc_consensus.Consensus
 module Sorted = Gc_sim.Sorted
 module View = Gc_membership.View
+module Metric = Gc_obs.Metric
 
 (* How a view change is agreed (Section 2.1 of the paper):
    - [Coordinator]: Isis-style — the first non-suspected member collects the
@@ -353,10 +354,10 @@ let end_block t =
   | Some s ->
       let span = Process.now t.proc -. s in
       t.blocked_total <- t.blocked_total +. span;
-      Process.observe t.proc "traditional.blocked_ms" span;
+      Process.observe t.proc Metric.traditional_blocked_ms span;
       Gc_obs.Metrics.set_gauge
         (Process.metrics t.proc)
-        "traditional.blocked_ms_total" t.blocked_total;
+        Metric.traditional_blocked_ms_total t.blocked_total;
       t.blocked_since <- None
   | None -> ()
 
@@ -402,8 +403,9 @@ and start_flush t proposal joiners =
     }
   in
   t.my_flush <- Some f;
-  Process.incr t.proc "traditional.flushes";
-  Process.emit t.proc ~component:"traditional" ~event:"flush_start"
+  Process.incr t.proc Metric.traditional_flushes;
+  Process.event t.proc ~component:"traditional"
+    ~kind:(Gc_obs.Event.Custom "flush_start")
     ~attrs:
       [
         ("epoch", Printf.sprintf "%d,%d" (fst epoch) (snd epoch));
@@ -553,7 +555,7 @@ and apply_install t ~view ~deliver =
   t.pending_leaves <- List.filter (fun p -> View.mem view p) t.pending_leaves;
   Fd.set_peers t.fd view.View.members;
   end_block t;
-  Process.incr t.proc "traditional.view_changes";
+  Process.incr t.proc Metric.traditional_view_changes;
   Process.event t.proc ~component:"traditional" ~kind:Gc_obs.Event.ViewInstall
     ~msg:(Printf.sprintf "view:%d" view.View.vid)
     ~attrs:
@@ -595,7 +597,7 @@ and handle_install t ~epoch ~view ~deliver =
       if not t.leaving then begin
         t.n_exclusions <- t.n_exclusions + 1;
         t.excluded_since <- Some (Process.now t.proc);
-        Process.incr t.proc "traditional.exclusions";
+        Process.incr t.proc Metric.traditional_exclusions;
         Process.event t.proc ~component:"traditional" ~kind:Gc_obs.Event.Exclude
           ~attrs:[ ("peer", string_of_int (me t)) ]
           ();
@@ -676,11 +678,11 @@ let handle_state t ~view ~last_gseq ~app =
 let create runtime ~id ~initial ?(config = default_config)
     ?app_state_provider ?app_state_installer () =
   let proc = Process.create runtime ~id in
-  Process.incr ~by:0 proc "traditional.flushes";
-  Process.incr ~by:0 proc "traditional.view_changes";
-  Process.incr ~by:0 proc "traditional.exclusions";
+  Process.incr ~by:0 proc Metric.traditional_flushes;
+  Process.incr ~by:0 proc Metric.traditional_view_changes;
+  Process.incr ~by:0 proc Metric.traditional_exclusions;
   Gc_obs.Metrics.set_gauge (Process.metrics proc)
-    "traditional.blocked_ms_total" 0.0;
+    Metric.traditional_blocked_ms_total 0.0;
   let fd = Fd.create proc ~hb_period:config.hb_period ~peers:initial () in
   let rc = Rc.create proc ~rto:config.rto () in
   let t_ref = ref None in

@@ -1,10 +1,11 @@
-(* Planted E2 violations: a metric name outside Catalog.metrics (a typo
-   mints a dead time series) and a catalogued counter recorded through a
-   histogram API (kind mismatch).  The catalogued call stays silent. *)
+(* Planted E2 violations at string-literal read sites: a name that is not
+   declared in Gc_obs.Metric (a typo reads a metric that never exists) and
+   a declared counter read through a histogram API (kind mismatch).  The
+   matching read stays silent. *)
 
 module Metrics = Gc_obs.Metrics
 
-let _record m =
-  Metrics.incr m "fixture.not_in_catalog";
-  Metrics.observe m "abcast.delivered" 1.0;
-  Metrics.incr m "abcast.delivered"
+let _read m =
+  ignore (Metrics.counter m "fixture.not_declared");
+  ignore (Metrics.quantile m "abcast.delivered" 0.5);
+  ignore (Metrics.counter m "abcast.delivered")

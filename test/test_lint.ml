@@ -267,9 +267,84 @@ let test_typed_b2 () =
   | ds -> Alcotest.failf "expected exactly 1 B2, got %d" (List.length ds)
 
 let test_typed_e2 () =
-  Alcotest.check pairs "unknown name and kind mismatch"
-    [ ("E2", 8); ("E2", 9) ]
+  Alcotest.check pairs "undeclared name and kind mismatch at reads"
+    [ ("E2", 9); ("E2", 10) ]
     (rule_lines (typed_findings ~rule:"E2" [ "Fixture_e2" ]))
+
+(* ---------- E2: declarations against DESIGN.md and the perf bench ---------- *)
+
+module Metric = Gc_obs.Metric
+module Metric_rules = Gc_lint.Metric_rules
+
+let declared_words () =
+  List.map (fun (n, k) -> (n, Metric.kind_name k)) (Metric.all ())
+
+let test_declarations_match_design () =
+  let rows = Metric_rules.parse_design_table (read_file "../DESIGN.md") in
+  Alcotest.(check (list (pair string string)))
+    "DESIGN.md §8 rows = Gc_obs.Metric declarations"
+    (List.sort compare (declared_words ()))
+    (List.sort compare rows)
+
+let test_design_drift () =
+  let row (n, w) = Printf.sprintf "| `%s` | layer | %s | meaning |" n w in
+  let rows =
+    match declared_words () with
+    | _missing :: (flipped, _) :: rest ->
+        (flipped, "gauge-ish") :: ("fixture.undeclared", "counter") :: rest
+    | _ -> Alcotest.fail "too few declarations"
+  in
+  let design =
+    String.concat "\n"
+      ("## 8. Metrics" :: "| Metric | Layer | Kind | Meaning |"
+      :: List.map row rows)
+  in
+  Alcotest.(check int) "missing row, kind drift, undeclared row" 3
+    (List.length (Metric_rules.check_design ~design_path:"DESIGN.md" design))
+
+(* Every metric name the cluster benchmark reads is declared, with the kind
+   its reader implies, so a rename cannot silently zero a ledger row. *)
+let test_perfbench_reads_declared () =
+  let file = "../perfbench/cluster_bench.ml" in
+  let ast = Gc_lint.Rules.parse_impl ~file (read_file file) in
+  let readers =
+    [
+      ("cd", "counter"); ("counter_d", "counter"); ("Metrics.counter", "counter");
+      ("Metrics.gauge", "gauge"); ("hd", "histogram"); ("hist_d", "histogram");
+      ("Metrics.view", "histogram");
+    ]
+  in
+  let reads = ref [] in
+  let expr it (e : Parsetree.expression) =
+    (match e.Parsetree.pexp_desc with
+    | Parsetree.Pexp_apply
+        ({ pexp_desc = Parsetree.Pexp_ident { txt; _ }; _ }, args) -> (
+        match
+          List.assoc_opt (String.concat "." (Longident.flatten txt)) readers
+        with
+        | Some word ->
+            List.iter
+              (fun (_, (a : Parsetree.expression)) ->
+                match a.Parsetree.pexp_desc with
+                | Parsetree.Pexp_constant (Parsetree.Pconst_string (s, _, _))
+                  ->
+                    reads := (s, word) :: !reads
+                | _ -> ())
+              args
+        | None -> ())
+    | _ -> ());
+    Ast_iterator.default_iterator.expr it e
+  in
+  let it = { Ast_iterator.default_iterator with expr } in
+  it.structure it ast;
+  Alcotest.(check bool) "the ledger's reads were found" true
+    (List.length !reads >= 20);
+  let declared = declared_words () in
+  List.iter
+    (fun (name, word) ->
+      Alcotest.(check (option string)) name (Some word)
+        (List.assoc_opt name declared))
+    (List.sort_uniq compare !reads)
 
 (* The shipped repo lints clean: the zero-findings baseline is itself a
    regression test.  (The test binary runs in _build/default/test, so the
@@ -312,6 +387,11 @@ let suite =
         Alcotest.test_case "B1 planted blocking call" `Quick test_typed_b1;
         Alcotest.test_case "B2 planted escaping raise" `Quick test_typed_b2;
         Alcotest.test_case "E2 planted catalog misses" `Quick test_typed_e2;
+        Alcotest.test_case "E2 declarations match DESIGN" `Quick
+          test_declarations_match_design;
+        Alcotest.test_case "E2 reports DESIGN drift" `Quick test_design_drift;
+        Alcotest.test_case "E2 perfbench reads are declared" `Quick
+          test_perfbench_reads_declared;
         Alcotest.test_case "repo lints clean" `Quick test_repo_clean;
       ] );
   ]

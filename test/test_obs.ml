@@ -1,6 +1,6 @@
 (* Gc_obs: the metrics registry (counters, gauges, log-bucketed
    histograms), its JSON round-trip, cross-node merging, the trace
-   buffer's bounded capacity, the deprecated emit shim — and the
+   buffer's bounded capacity, structured emission — and the
    architectural end-to-end property the registry exists to expose:
    rbcast-only traffic consumes strictly fewer consensus instances than
    the same traffic totally ordered. *)
@@ -10,6 +10,7 @@ module Trace = Gc_sim.Trace
 module Netsim = Gc_net.Netsim
 module Stack = Gcs.Gcs_stack
 module Metrics = Gc_obs.Metrics
+module Metric = Gc_obs.Metric
 module Json = Gc_obs.Json
 open Support
 
@@ -21,21 +22,31 @@ let check_float = Alcotest.(check (float 1e-9))
 
 let test_counters () =
   let m = Metrics.create () in
-  check_int "absent counter reads 0" 0 (Metrics.counter m "c");
-  Metrics.incr m "c";
-  Metrics.incr m "c" ~by:4;
-  check_int "incremented" 5 (Metrics.counter m "c");
-  Metrics.set_gauge m "g" 7.5;
-  Metrics.set_gauge m "g" 3.25;
-  check_float "gauge keeps latest" 3.25 (Metrics.gauge m "g");
-  Alcotest.(check (list string)) "names sorted" [ "c"; "g" ] (Metrics.names m)
+  check_int "absent counter reads 0" 0 (Metrics.counter m "abcast.delivered");
+  Metrics.incr m Metric.abcast_delivered;
+  Metrics.incr m Metric.abcast_delivered ~by:4;
+  check_int "incremented" 5 (Metrics.counter m "abcast.delivered");
+  Metrics.set_gauge m Metric.evloop_open_fds 7.5;
+  Metrics.set_gauge m Metric.evloop_open_fds 3.25;
+  check_float "gauge keeps latest" 3.25 (Metrics.gauge m "evloop.open_fds");
+  Alcotest.(check (list string))
+    "names sorted" [ "abcast.delivered"; "evloop.open_fds" ] (Metrics.names m)
 
+(* Typed names rule out a wrong kind at a recording site; an entry rebuilt
+   from serialised data can still disagree, and recording into it raises. *)
 let test_kind_mismatch () =
-  let m = Metrics.create () in
-  Metrics.incr m "x";
+  let m = Metrics.of_views [ ("abcast.latency_ms", Metrics.V_counter 1) ] in
   Alcotest.check_raises "counter used as histogram"
-    (Invalid_argument "Metrics: x is not a histogram") (fun () ->
-      Metrics.observe m "x" 1.0)
+    (Invalid_argument "Metrics: abcast.latency_ms is not a histogram")
+    (fun () -> Metrics.observe m Metric.abcast_latency_ms 1.0)
+
+let test_declare_twice () =
+  Alcotest.check_raises "same kind"
+    (Invalid_argument "Metric: abcast.delivered is declared twice") (fun () ->
+      ignore (Metric.counter "abcast.delivered"));
+  Alcotest.check_raises "other kind"
+    (Invalid_argument "Metric: abcast.delivered is declared twice") (fun () ->
+      ignore (Metric.histogram "abcast.delivered"))
 
 (* ---------- histogram quantiles ---------- *)
 
@@ -43,16 +54,16 @@ let test_quantiles () =
   let m = Metrics.create () in
   Alcotest.(check bool)
     "empty histogram quantile is nan" true
-    (Float.is_nan (Metrics.quantile m "h" 0.5));
+    (Float.is_nan (Metrics.quantile m "abcast.latency_ms" 0.5));
   for v = 1 to 1000 do
-    Metrics.observe m "h" (float_of_int v)
+    Metrics.observe m Metric.abcast_latency_ms (float_of_int v)
   done;
-  check_int "count" 1000 (Metrics.hist_count m "h");
-  check_float "max exact" 1000.0 (Metrics.hist_max m "h");
-  check_float "mean exact" 500.5 (Metrics.hist_mean m "h");
+  check_int "count" 1000 (Metrics.hist_count m "abcast.latency_ms");
+  check_float "max exact" 1000.0 (Metrics.hist_max m "abcast.latency_ms");
+  check_float "mean exact" 500.5 (Metrics.hist_mean m "abcast.latency_ms");
   (* Log-bucketed estimates: within one bucket (~19% relative error). *)
   let within q lo hi =
-    let v = Metrics.quantile m "h" q in
+    let v = Metrics.quantile m "abcast.latency_ms" q in
     Alcotest.(check bool)
       (Printf.sprintf "p%.0f=%.1f in [%.0f,%.0f]" (q *. 100.0) v lo hi)
       true
@@ -61,41 +72,43 @@ let test_quantiles () =
   within 0.50 400.0 620.0;
   within 0.95 780.0 1000.0;
   within 0.99 820.0 1000.0;
-  let p50 = Metrics.quantile m "h" 0.5
-  and p95 = Metrics.quantile m "h" 0.95
-  and p99 = Metrics.quantile m "h" 0.99 in
+  let p50 = Metrics.quantile m "abcast.latency_ms" 0.5
+  and p95 = Metrics.quantile m "abcast.latency_ms" 0.95
+  and p99 = Metrics.quantile m "abcast.latency_ms" 0.99 in
   Alcotest.(check bool) "quantiles monotone" true (p50 <= p95 && p95 <= p99);
   Alcotest.(check bool)
     "clamped to observed max" true
-    (Metrics.quantile m "h" 1.0 <= Metrics.hist_max m "h")
+    (Metrics.quantile m "abcast.latency_ms" 1.0
+    <= Metrics.hist_max m "abcast.latency_ms")
 
 (* ---------- merging ---------- *)
 
 let test_merge () =
   let a = Metrics.create () and b = Metrics.create () in
-  Metrics.incr a "c" ~by:3;
-  Metrics.incr b "c" ~by:4;
-  Metrics.set_gauge a "g" 10.0;
-  Metrics.set_gauge b "g" 2.0;
-  Metrics.observe a "h" 5.0;
-  Metrics.observe b "h" 50.0;
-  Metrics.incr b "only_b";
+  Metrics.incr a Metric.abcast_delivered ~by:3;
+  Metrics.incr b Metric.abcast_delivered ~by:4;
+  Metrics.set_gauge a Metric.evloop_open_fds 10.0;
+  Metrics.set_gauge b Metric.evloop_open_fds 2.0;
+  Metrics.observe a Metric.abcast_latency_ms 5.0;
+  Metrics.observe b Metric.abcast_latency_ms 50.0;
+  Metrics.incr b Metric.gbcast_delivered;
   let m = Metrics.merged [ a; b ] in
-  check_int "counters add" 7 (Metrics.counter m "c");
-  check_float "gauges keep max" 10.0 (Metrics.gauge m "g");
-  check_int "histogram counts add" 2 (Metrics.hist_count m "h");
-  check_float "merged max" 50.0 (Metrics.hist_max m "h");
-  check_int "entry present in one side survives" 1 (Metrics.counter m "only_b");
-  check_int "sources untouched" 3 (Metrics.counter a "c")
+  check_int "counters add" 7 (Metrics.counter m "abcast.delivered");
+  check_float "gauges keep max" 10.0 (Metrics.gauge m "evloop.open_fds");
+  check_int "histogram counts add" 2 (Metrics.hist_count m "abcast.latency_ms");
+  check_float "merged max" 50.0 (Metrics.hist_max m "abcast.latency_ms");
+  check_int "entry present in one side survives" 1
+    (Metrics.counter m "gbcast.delivered");
+  check_int "sources untouched" 3 (Metrics.counter a "abcast.delivered")
 
 (* ---------- JSON round-trip ---------- *)
 
 let test_json_roundtrip () =
   let m = Metrics.create () in
-  Metrics.incr m "consensus.instances_decided" ~by:17;
-  Metrics.set_gauge m "membership.sender_blocked_ms_total" 0.0;
+  Metrics.incr m Metric.consensus_instances_decided ~by:17;
+  Metrics.set_gauge m Metric.membership_sender_blocked_ms_total 0.0;
   for v = 1 to 64 do
-    Metrics.observe m "abcast.latency_ms" (float_of_int v *. 0.7)
+    Metrics.observe m Metric.abcast_latency_ms (float_of_int v *. 0.7)
   done;
   let j = Metrics.to_json m in
   let m' = Metrics.of_json j in
@@ -131,13 +144,14 @@ let check_contains what hay needle =
 
 let test_snapshot_immutable () =
   let m = Metrics.create () in
-  Metrics.incr m "c" ~by:2;
-  Metrics.observe m "h" 1.0;
+  Metrics.incr m Metric.abcast_delivered ~by:2;
+  Metrics.observe m Metric.abcast_latency_ms 1.0;
   let s = Snapshot.of_metrics m in
-  Metrics.incr m "c" ~by:40;
-  Metrics.observe m "h" 9.0;
-  check_int "capture frozen: counter" 2 (Snapshot.counter s "c");
-  check_int "capture frozen: hist count" 1 (Snapshot.hist_count s "h");
+  Metrics.incr m Metric.abcast_delivered ~by:40;
+  Metrics.observe m Metric.abcast_latency_ms 9.0;
+  check_int "capture frozen: counter" 2 (Snapshot.counter s "abcast.delivered");
+  check_int "capture frozen: hist count" 1
+    (Snapshot.hist_count s "abcast.latency_ms");
   (* And it round-trips through JSON bit-compatibly with Metrics.to_json. *)
   let j = Snapshot.to_json s in
   Alcotest.(check string)
@@ -147,28 +161,30 @@ let test_snapshot_immutable () =
 
 let test_snapshot_delta () =
   let m = Metrics.create () in
-  Metrics.incr m "c" ~by:10;
-  Metrics.set_gauge m "g" 1.0;
+  Metrics.incr m Metric.abcast_delivered ~by:10;
+  Metrics.set_gauge m Metric.evloop_open_fds 1.0;
   for v = 1 to 50 do
-    Metrics.observe m "h" (float_of_int v)
+    Metrics.observe m Metric.abcast_latency_ms (float_of_int v)
   done;
   let before = Snapshot.of_metrics m in
-  Metrics.incr m "c" ~by:7;
-  Metrics.set_gauge m "g" 2.5;
+  Metrics.incr m Metric.abcast_delivered ~by:7;
+  Metrics.set_gauge m Metric.evloop_open_fds 2.5;
   for v = 51 to 80 do
-    Metrics.observe m "h" (float_of_int v)
+    Metrics.observe m Metric.abcast_latency_ms (float_of_int v)
   done;
-  Metrics.incr m "late";
+  Metrics.incr m Metric.gbcast_submitted;
   let after = Snapshot.of_metrics m in
   let d = Snapshot.delta ~before ~after in
-  check_int "counters subtract" 7 (Snapshot.counter d "c");
-  check_float "gauges keep the after reading" 2.5 (Snapshot.gauge d "g");
-  check_int "histogram window count" 30 (Snapshot.hist_count d "h");
+  check_int "counters subtract" 7 (Snapshot.counter d "abcast.delivered");
+  check_float "gauges keep the after reading" 2.5
+    (Snapshot.gauge d "evloop.open_fds");
+  check_int "histogram window count" 30
+    (Snapshot.hist_count d "abcast.latency_ms");
   check_int "entries born inside the window survive" 1
-    (Snapshot.counter d "late");
+    (Snapshot.counter d "gbcast.submitted");
   (* The window held 51..80 only: its median must sit far above the
      cumulative median (~40), even with one-bucket resolution. *)
-  let p50 = Snapshot.quantile d "h" 0.5 in
+  let p50 = Snapshot.quantile d "abcast.latency_ms" 0.5 in
   Alcotest.(check bool)
     (Printf.sprintf "window p50 %.1f reflects only the window" p50)
     true
@@ -176,41 +192,43 @@ let test_snapshot_delta () =
 
 let test_snapshot_counter_reset () =
   let a = Metrics.create () in
-  Metrics.incr a "c" ~by:100;
+  Metrics.incr a Metric.abcast_delivered ~by:100;
   for _ = 1 to 20 do
-    Metrics.observe a "h" 5.0
+    Metrics.observe a Metric.abcast_latency_ms 5.0
   done;
   let before = Snapshot.of_metrics a in
   (* The source restarts: a fresh registry with smaller readings. *)
   let b = Metrics.create () in
-  Metrics.incr b "c" ~by:3;
-  Metrics.observe b "h" 5.0;
+  Metrics.incr b Metric.abcast_delivered ~by:3;
+  Metrics.observe b Metric.abcast_latency_ms 5.0;
   let after = Snapshot.of_metrics b in
   let d = Snapshot.delta ~before ~after in
-  check_int "decreased counter: after stands alone" 3 (Snapshot.counter d "c");
+  check_int "decreased counter: after stands alone" 3
+    (Snapshot.counter d "abcast.delivered");
   check_int "decreased histogram: after stands alone" 1
-    (Snapshot.hist_count d "h")
+    (Snapshot.hist_count d "abcast.latency_ms")
 
 let test_snapshot_quantiles_known () =
   let m = Metrics.create () in
   (* A point mass: every quantile is the exact observed value. *)
   for _ = 1 to 100 do
-    Metrics.observe m "point" 42.0
+    Metrics.observe m Metric.server_latency_ms 42.0
   done;
   let s = Snapshot.of_metrics m in
-  check_float "point mass p50" 42.0 (Snapshot.quantile s "point" 0.5);
-  check_float "point mass p99" 42.0 (Snapshot.quantile s "point" 0.99);
+  check_float "point mass p50" 42.0 (Snapshot.quantile s "server.latency_ms" 0.5);
+  check_float "point mass p99" 42.0
+    (Snapshot.quantile s "server.latency_ms" 0.99);
   (* A 9:1 bimodal mix: p50 near the low mode, p99 at the high one. *)
   let m2 = Metrics.create () in
   for _ = 1 to 90 do
-    Metrics.observe m2 "bi" 1.0
+    Metrics.observe m2 Metric.server_latency_ms 1.0
   done;
   for _ = 1 to 10 do
-    Metrics.observe m2 "bi" 1000.0
+    Metrics.observe m2 Metric.server_latency_ms 1000.0
   done;
   let s2 = Snapshot.of_metrics m2 in
-  let p50 = Snapshot.quantile s2 "bi" 0.5 in
-  let p99 = Snapshot.quantile s2 "bi" 0.99 in
+  let p50 = Snapshot.quantile s2 "server.latency_ms" 0.5 in
+  let p99 = Snapshot.quantile s2 "server.latency_ms" 0.99 in
   Alcotest.(check bool)
     (Printf.sprintf "bimodal p50 %.2f stays at the low mode" p50)
     true
@@ -222,32 +240,32 @@ let test_snapshot_quantiles_known () =
 
 let test_include_zeros () =
   let m = Metrics.create () in
-  Metrics.incr m "live";
-  Metrics.incr m "dead" ~by:0;
+  Metrics.incr m Metric.abcast_delivered;
+  Metrics.incr m Metric.gbcast_delivered ~by:0;
   ignore (Metrics.quantile m "empty_hist" 0.5);
   let default = Json.to_string (Metrics.to_json m) in
   let kept = Json.to_string (Metrics.to_json ~include_zeros:true m) in
-  check_contains "default keeps live entries" default "\"live\"";
+  check_contains "default keeps live entries" default "\"abcast.delivered\"";
   Alcotest.(check bool)
     "default drops zero counters" false
-    (contains default "\"dead\"");
-  check_contains "include_zeros keeps zero counters" kept "\"dead\"";
+    (contains default "\"gbcast.delivered\"");
+  check_contains "include_zeros keeps zero counters" kept "\"gbcast.delivered\"";
   (* Snapshot exposition honours the same flag. *)
   let s = Snapshot.of_metrics m in
   Alcotest.(check bool)
     "snapshot default drops zeros too" false
-    (contains (Json.to_string (Snapshot.to_json s)) "\"dead\"");
+    (contains (Json.to_string (Snapshot.to_json s)) "\"gbcast.delivered\"");
   check_contains "snapshot include_zeros"
     (Json.to_string (Snapshot.to_json ~include_zeros:true s))
-    "\"dead\""
+    "\"gbcast.delivered\""
 
 let test_prometheus_exposition () =
   let m = Metrics.create () in
-  Metrics.incr m "abcast.delivered" ~by:12;
-  Metrics.set_gauge m "evloop.open_fds" 9.0;
-  Metrics.observe m "server.latency_ms" 0.5;
-  Metrics.observe m "server.latency_ms" 2.0;
-  Metrics.observe m "server.latency_ms" 100.0;
+  Metrics.incr m Metric.abcast_delivered ~by:12;
+  Metrics.set_gauge m Metric.evloop_open_fds 9.0;
+  Metrics.observe m Metric.server_latency_ms 0.5;
+  Metrics.observe m Metric.server_latency_ms 2.0;
+  Metrics.observe m Metric.server_latency_ms 100.0;
   let s = Snapshot.of_metrics m in
   let text =
     Snapshot.to_prometheus ~labels:[ ("node", "a\\b\"c\nd") ] s
@@ -290,7 +308,8 @@ let test_prometheus_exposition () =
 let test_trace_capacity () =
   let t = Trace.create ~enabled:true ~capacity:10 () in
   for i = 0 to 24 do
-    Trace.emit t ~time:(float_of_int i) ~node:0 ~component:"c" ~event:"e"
+    Trace.emit_event t ~time:(float_of_int i) ~node:0 ~component:"c"
+      ~kind:(Gc_obs.Event.Custom "e")
       ~attrs:[ ("i", string_of_int i) ]
       ()
   done;
@@ -305,10 +324,12 @@ let test_trace_capacity () =
 
 let test_structured_emit () =
   let t = Trace.create ~enabled:true () in
-  Trace.emit t ~time:1.0 ~node:2 ~component:"layer" ~event:"deliver"
+  Trace.emit_event t ~time:1.0 ~node:2 ~component:"layer"
+    ~kind:(Gc_obs.Event.kind_of_string "deliver")
     ~attrs:[ ("detail", "free-form detail") ]
     ();
-  Trace.emit t ~time:2.0 ~node:2 ~component:"layer" ~event:"frobnicate" ();
+  Trace.emit_event t ~time:2.0 ~node:2 ~component:"layer"
+    ~kind:(Gc_obs.Event.kind_of_string "frobnicate") ();
   match Trace.records t with
   | [ r1; r2 ] ->
       Alcotest.(check (option string))
@@ -379,6 +400,8 @@ let suite =
       [
         Alcotest.test_case "counters and gauges" `Quick test_counters;
         Alcotest.test_case "kind mismatch raises" `Quick test_kind_mismatch;
+        Alcotest.test_case "declaring a name twice raises" `Quick
+          test_declare_twice;
         Alcotest.test_case "histogram quantiles" `Quick test_quantiles;
         Alcotest.test_case "merge semantics" `Quick test_merge;
         Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
