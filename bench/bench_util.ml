@@ -1,11 +1,11 @@
 (* Shared machinery for the experiment harness: world builders for both
    architectures, workload generators, fault injectors and measurement
-   helpers.  Every experiment (e1 .. e8) builds on these. *)
+   helpers.  Every experiment (e1 .. e9) builds on these. *)
 
 module Engine = Gc_sim.Engine
 module Trace = Gc_sim.Trace
 module Rng = Gc_sim.Rng
-module Stats = Gc_sim.Stats
+module Sample = Gc_obs.Metrics.Sample
 module Netsim = Gc_net.Netsim
 module Delay = Gc_net.Delay
 module View = Gc_membership.View
@@ -172,9 +172,29 @@ let inject_link_flaps w ?(exclude = []) ~until ~rate ~width () =
 
 (* ---------- measurements ---------- *)
 
+(* Print an aligned plain-text table on stdout. *)
+let print_table ~header rows =
+  let all = header :: rows in
+  let cols = List.fold_left (fun acc r -> max acc (List.length r)) 0 all in
+  let widths = Array.make cols 0 in
+  let note_row r =
+    List.iteri (fun i cell -> widths.(i) <- max widths.(i) (String.length cell)) r
+  in
+  List.iter note_row all;
+  let print_row r =
+    let cells =
+      List.mapi (fun i cell -> Printf.sprintf "%-*s" widths.(i) cell) r
+    in
+    print_endline ("  " ^ String.concat "  " cells)
+  in
+  print_row header;
+  let rule = List.init (List.length header) (fun i -> String.make widths.(i) '-') in
+  print_row rule;
+  List.iter print_row rows
+
 let latencies_of w node =
-  let s = Stats.sample () in
-  List.iter (fun d -> Stats.add s (d.recv_at -. d.sent_at)) !(w.deliveries.(node));
+  let s = Sample.create () in
+  List.iter (fun d -> Sample.add s (d.recv_at -. d.sent_at)) !(w.deliveries.(node));
   s
 
 (* Longest gap between consecutive deliveries at [node] within the window —

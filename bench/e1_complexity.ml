@@ -10,7 +10,7 @@ open Bench_util
 let structural_audit () =
   print_endline "A. Where is ordering implemented? (structural audit)";
   print_endline "";
-  Gc_sim.Stats.print_table
+  print_table
     ~header:
       [ "architecture"; "ordering protocol"; "component"; "orders what" ]
     [
@@ -109,7 +109,7 @@ let messages_per_abcast () =
       fmt_f1 (per_cast totem_msgs (totem_background ()));
     ]
   in
-  Gc_sim.Stats.print_table
+  print_table
     ~header:
       [
         "n"; "new arch msgs/abcast"; "traditional msgs/abcast";
@@ -158,7 +158,7 @@ let messages_per_view_change () =
     in
     [ fmt_int n; fmt_int new_diff; fmt_int trad_diff ]
   in
-  Gc_sim.Stats.print_table
+  print_table
     ~header:[ "n"; "new arch msgs/view change"; "traditional msgs/view change" ]
     (List.map row [ 3; 5; 7 ]);
   print_endline ""

@@ -43,7 +43,7 @@ let run_cell ~use_generic ~commuting_pct ~seed =
   in
   let client = Client.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id:n_replicas ~replicas () in
   let rng = Engine.split_rng engine in
-  let lat = Stats.sample () in
+  let lat = Sample.create () in
   Engine.run ~until:300.0 engine;
   Netsim.reset_counters net;
   for k = 0 to n_requests - 1 do
@@ -53,7 +53,7 @@ let run_cell ~use_generic ~commuting_pct ~seed =
          ~delay:(float_of_int k *. request_period)
          (fun () ->
            Client.request client ~cmd ~on_reply:(fun _ ~latency ->
-               Stats.add lat latency)))
+               Sample.add lat latency)))
   done;
   Engine.run
     ~until:(300.0 +. (float_of_int n_requests *. request_period) +. 2_000.0)
@@ -74,7 +74,7 @@ let run_cell ~use_generic ~commuting_pct ~seed =
   audit_trace ~experiment:"e2" ~cell trace;
   note_metrics ~experiment:"e2" ~cell
     (Metrics.merged (List.map Stack.metrics stacks));
-  (Stats.count lat, Stats.mean lat, Stats.percentile lat 95.0, instances, fast,
+  (Sample.count lat, Sample.mean lat, Sample.percentile lat 95.0, instances, fast,
    Netsim.messages_sent net)
 
 let run () =
@@ -113,7 +113,7 @@ let run () =
         ])
       [ 0; 25; 50; 75; 90; 100 ]
   in
-  Stats.print_table
+  print_table
     ~header:
       [
         "commuting"; "broadcast"; "served"; "mean ms"; "p95 ms";

@@ -119,7 +119,7 @@ let run () =
         ])
       [ 50.0; 100.0; 200.0; 400.0; 800.0; 1600.0; 3200.0 ]
   in
-  Stats.print_table
+  print_table
     ~header:
       [
         "timeout ms"; "new recovery ms"; "new wrongful excl";

@@ -32,7 +32,7 @@ let run_new ~rate ~seed =
     n - View.size (Stack.view w.stacks.(1))
   in
   note_world_metrics ~experiment:"e4" ~cell:(Printf.sprintf "new-rate%.1f" rate) w;
-  (delivered_count w 1, Stats.mean lat, Stats.percentile lat 95.0, excluded, 0.0)
+  (delivered_count w 1, Sample.mean lat, Sample.percentile lat 95.0, excluded, 0.0)
 
 let run_trad ~rate ~seed =
   let config =
@@ -68,8 +68,8 @@ let run_trad ~rate ~seed =
     ~cell:(Printf.sprintf "trad-rate%.1f" rate)
     w;
   ( delivered_count w 1,
-    Stats.mean lat,
-    Stats.percentile lat 95.0,
+    Sample.mean lat,
+    Sample.percentile lat 95.0,
     exclusions,
     excluded_time )
 
@@ -105,7 +105,7 @@ let run () =
         ])
       [ 0.0; 0.5; 1.0; 2.0 ]
   in
-  Stats.print_table
+  print_table
     ~header:
       [
         "spike rate"; "arch"; "delivered"; "mean ms"; "p95 ms";

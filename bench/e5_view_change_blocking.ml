@@ -46,9 +46,9 @@ let run_new ~churn_period ~seed =
     ~cell:(Printf.sprintf "new-churn%.0f" churn_period)
     w;
   ( delivered_count w 0,
-    Stats.mean lat,
-    Stats.percentile lat 95.0,
-    Stats.max_value lat,
+    Sample.mean lat,
+    Sample.percentile lat 95.0,
+    Sample.max_value lat,
     0.0,
     Gc_membership.Group_membership.view_changes (Stack.membership w.stacks.(0)) )
 
@@ -81,9 +81,9 @@ let run_trad ~churn_period ~seed =
     ~cell:(Printf.sprintf "trad-churn%.0f" churn_period)
     w;
   ( delivered_count w 0,
-    Stats.mean lat,
-    Stats.percentile lat 95.0,
-    Stats.max_value lat,
+    Sample.mean lat,
+    Sample.percentile lat 95.0,
+    Sample.max_value lat,
     blocked,
     Tr.view_changes w.stacks.(0) )
 
@@ -121,7 +121,7 @@ let run () =
         ])
       [ 5_000.0; 2_000.0; 1_000.0 ]
   in
-  Stats.print_table
+  print_table
     ~header:
       [
         "churn cycle"; "arch"; "delivered"; "mean ms"; "p95 ms"; "max ms";

@@ -20,7 +20,7 @@ let fig8_race () =
   print_endline "A. The Figure 8 race, 40 seeds";
   print_endline "";
   let update_first = ref 0 and change_first = ref 0 in
-  let lat_update = Stats.sample () and lat_change = Stats.sample () in
+  let lat_update = Sample.create () and lat_change = Sample.create () in
   for seed = 1 to 40 do
     let engine, trace, net = base_net ~seed:(Int64.of_int seed) ~n:4 () in
     let replicas = [ 0; 1; 2 ] in
@@ -53,23 +53,23 @@ let fig8_race () =
       servers;
     if Passive.updates_discarded s1 > 0 then begin
       incr change_first;
-      Stats.add lat_change !latency
+      Sample.add lat_change !latency
     end
     else begin
       incr update_first;
-      Stats.add lat_update !latency
+      Sample.add lat_update !latency
     end
   done;
-  Stats.print_table
+  print_table
     ~header:[ "outcome"; "runs"; "client mean ms"; "client p95 ms" ]
     [
       [
         "update ordered first"; fmt_int !update_first;
-        fmt_f1 (Stats.mean lat_update); fmt_f1 (Stats.percentile lat_update 95.0);
+        fmt_f1 (Sample.mean lat_update); fmt_f1 (Sample.percentile lat_update 95.0);
       ];
       [
         "change ordered first"; fmt_int !change_first;
-        fmt_f1 (Stats.mean lat_change); fmt_f1 (Stats.percentile lat_change 95.0);
+        fmt_f1 (Sample.mean lat_change); fmt_f1 (Sample.percentile lat_change 95.0);
       ];
     ];
   print_endline "";
@@ -147,22 +147,22 @@ let failover () =
       trace;
     !latency
   in
-  let gb = Stats.sample () and vs = Stats.sample () in
+  let gb = Sample.create () and vs = Sample.create () in
   List.iter
     (fun seed ->
-      Stats.add gb (measure_gb seed);
-      Stats.add vs (measure_vs seed))
+      Sample.add gb (measure_gb seed);
+      Sample.add vs (measure_vs seed))
     [ 601L; 602L; 603L; 604L; 605L ];
-  Stats.print_table
+  print_table
     ~header:[ "scheme"; "failover timeout"; "client latency mean ms"; "max ms" ]
     [
       [
         "passive / generic broadcast"; "150 (safe to be small)";
-        fmt_f1 (Stats.mean gb); fmt_f1 (Stats.max_value gb);
+        fmt_f1 (Sample.mean gb); fmt_f1 (Sample.max_value gb);
       ];
       [
         "passive / view synchrony"; "1000 (must be large)";
-        fmt_f1 (Stats.mean vs); fmt_f1 (Stats.max_value vs);
+        fmt_f1 (Sample.mean vs); fmt_f1 (Sample.max_value vs);
       ];
     ]
 

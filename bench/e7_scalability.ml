@@ -23,7 +23,7 @@ let run_cell ~kind ~n ~seed =
         w.engine;
       let lat = latencies_of w (n - 1) in
       note_world_metrics ~experiment:"e7" ~cell:(Printf.sprintf "totem-n%d" n) w;
-      (Stats.mean lat, Stats.percentile lat 95.0, Netsim.messages_sent w.net)
+      (Sample.mean lat, Sample.percentile lat 95.0, Netsim.messages_sent w.net)
   | `New ->
       let w = new_world ~seed ~n () in
       Engine.run ~until:500.0 w.engine;
@@ -36,7 +36,7 @@ let run_cell ~kind ~n ~seed =
         w.engine;
       let lat = latencies_of w (n - 1) in
       note_world_metrics ~experiment:"e7" ~cell:(Printf.sprintf "new-n%d" n) w;
-      (Stats.mean lat, Stats.percentile lat 95.0, Netsim.messages_sent w.net)
+      (Sample.mean lat, Sample.percentile lat 95.0, Netsim.messages_sent w.net)
   | `Trad ->
       let w = trad_world ~seed ~n () in
       Engine.run ~until:500.0 w.engine;
@@ -47,7 +47,7 @@ let run_cell ~kind ~n ~seed =
         w.engine;
       let lat = latencies_of w (n - 1) in
       note_world_metrics ~experiment:"e7" ~cell:(Printf.sprintf "trad-n%d" n) w;
-      (Stats.mean lat, Stats.percentile lat 95.0, Netsim.messages_sent w.net)
+      (Sample.mean lat, Sample.percentile lat 95.0, Netsim.messages_sent w.net)
 
 let run () =
   section "E7  Failure-free scalability of both stacks"
@@ -74,7 +74,7 @@ let run () =
         ])
       [ 3; 5; 7; 9; 11 ]
   in
-  Stats.print_table
+  print_table
     ~header:
       [
         "n"; "new mean ms"; "new p95 ms"; "new msgs/cast";

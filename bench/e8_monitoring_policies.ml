@@ -93,7 +93,7 @@ let run () =
         ])
       policies
   in
-  Stats.print_table
+  print_table
     ~header:
       [
         "policy"; "time to exclude crashed (ms)";

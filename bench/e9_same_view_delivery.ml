@@ -111,7 +111,7 @@ let run () =
         ])
       [ 901L; 902L; 903L ]
   in
-  Stats.print_table
+  print_table
     ~header:
       [ "seed"; "view-change routing"; "pairs compared"; "same-view violations" ]
     rows;

@@ -17,7 +17,6 @@ let experiments =
     ("e7", E7_scalability.run);
     ("e8", E8_monitoring_policies.run);
     ("e9", E9_same_view_delivery.run);
-    ("e10", E10_loopback.run);
   ]
 
 let () =

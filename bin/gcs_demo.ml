@@ -14,8 +14,8 @@ module View = Gc_membership.View
 module Stack = Gcs.Gcs_stack
 module Tr = Gc_traditional.Traditional_stack
 module Tt = Gc_totem.Totem_stack
-module Stats = Gc_sim.Stats
 module Metrics = Gc_obs.Metrics
+module Sample = Metrics.Sample
 module Process = Gc_kernel.Process
 module Sm = Gc_replication.State_machine
 module Active_gb = Gc_replication.Active_gb
@@ -49,7 +49,7 @@ let run_cmd arch nodes casts period crash_node seed show_trace show_metrics
   let trace = Trace.create ~enabled:(show_trace || record <> None) () in
   let net = Netsim.create engine ~trace ~delay:Gc_net.Delay.lan ~n:nodes () in
   let initial = List.init nodes (fun i -> i) in
-  let lat = Stats.sample () in
+  let lat = Sample.create () in
   let views = ref [] in
   let send, crash, final_view, all_metrics =
     match arch with
@@ -62,7 +62,7 @@ let run_cmd arch nodes casts period crash_node seed show_trace show_metrics
             Stack.on_deliver s (fun ~origin:_ ~ordered:_ p ->
                 match p with
                 | Demo { sent_at; _ } when Stack.id s = 1 ->
-                    Stats.add lat (Engine.now engine -. sent_at)
+                    Sample.add lat (Engine.now engine -. sent_at)
                 | _ -> ());
             Stack.on_view s (fun v ->
                 if Stack.id s = 1 then
@@ -82,7 +82,7 @@ let run_cmd arch nodes casts period crash_node seed show_trace show_metrics
             Tr.on_deliver s (fun ~origin:_ ~ordered:_ p ->
                 match p with
                 | Demo { sent_at; _ } when Tr.id s = 1 ->
-                    Stats.add lat (Engine.now engine -. sent_at)
+                    Sample.add lat (Engine.now engine -. sent_at)
                 | _ -> ());
             Tr.on_view s (fun v ->
                 if Tr.id s = 1 then
@@ -103,7 +103,7 @@ let run_cmd arch nodes casts period crash_node seed show_trace show_metrics
             Tt.on_deliver s (fun ~origin:_ p ->
                 match p with
                 | Demo { sent_at; _ } when Tt.id s = 1 ->
-                    Stats.add lat (Engine.now engine -. sent_at)
+                    Sample.add lat (Engine.now engine -. sent_at)
                 | _ -> ());
             Tt.on_view s (fun v ->
                 if Tt.id s = 1 then
@@ -135,7 +135,7 @@ let run_cmd arch nodes casts period crash_node seed show_trace show_metrics
   Engine.run ~until:60_000.0 engine;
   if show_trace then
     List.iter
-      (fun r -> Format.printf "%a@." Trace.pp_record r)
+      (fun r -> Format.printf "%a@." Gc_obs.Event.pp r)
       (Trace.records trace);
   Printf.printf "arch: %s   nodes: %d   casts: %d   seed: %Ld\n"
     (match arch with
@@ -144,9 +144,9 @@ let run_cmd arch nodes casts period crash_node seed show_trace show_metrics
     | `Totem -> "totem (token ring)")
     nodes casts seed;
   Printf.printf "delivered at node 1: %d   mean latency: %s ms   p95: %s ms\n"
-    (Stats.count lat)
-    (Stats.fmt_ms (Stats.mean lat))
-    (Stats.fmt_ms (Stats.percentile lat 95.0));
+    (Sample.count lat)
+    (Sample.fmt_ms (Sample.mean lat))
+    (Sample.fmt_ms (Sample.percentile lat 95.0));
   Printf.printf "views at node 1: %s\n"
     (String.concat " -> " (List.rev !views));
   Printf.printf "final view: %s\n" (final_view ());
@@ -176,7 +176,7 @@ let bank_cmd requests commuting seed record =
   in
   let client = Client.create (Gc_kernel.Runtime.of_netsim net ~trace) ~id:n_replicas ~replicas () in
   let rng = Engine.split_rng engine in
-  let lat = Stats.sample () in
+  let lat = Sample.create () in
   for k = 0 to requests - 1 do
     let cmd =
       if Gc_sim.Rng.int rng 100 < commuting then
@@ -186,16 +186,16 @@ let bank_cmd requests commuting seed record =
     ignore
       (Engine.schedule engine ~delay:(float_of_int (k * 25)) (fun () ->
            Client.request client ~cmd ~on_reply:(fun _ ~latency ->
-               Stats.add lat latency)))
+               Sample.add lat latency)))
   done;
   Engine.run ~until:120_000.0 engine;
   let s0 = List.hd servers in
   Printf.printf "bank over generic broadcast: %d replicas, %d requests, %d%% commuting\n"
     n_replicas requests commuting;
   Printf.printf "served: %d   mean latency: %s ms   p95: %s ms\n"
-    (Stats.count lat)
-    (Stats.fmt_ms (Stats.mean lat))
-    (Stats.fmt_ms (Stats.percentile lat 95.0));
+    (Sample.count lat)
+    (Sample.fmt_ms (Sample.mean lat))
+    (Sample.fmt_ms (Sample.percentile lat 95.0));
   Printf.printf "consensus instances: %d   fast-path deliveries: %d\n"
     (Gc_abcast.Atomic_broadcast.next_instance
        (Stack.atomic_broadcast (Active_gb.stack s0)))

@@ -19,7 +19,7 @@ module Sm = Gc_replication.State_machine
 module Active = Gc_replication.Active
 module Active_gb = Gc_replication.Active_gb
 module Client = Gc_replication.Client
-module Stats = Gc_sim.Stats
+module Sample = Gc_obs.Metrics.Sample
 
 let n_replicas = 3
 let n_clients = 2
@@ -39,7 +39,7 @@ let run_scheme name ~use_generic =
       ()
   in
   let replicas = List.init n_replicas (fun i -> i) in
-  let latencies = Stats.sample () in
+  let latencies = Sample.create () in
   let stacks =
     if use_generic then
       List.map
@@ -68,7 +68,7 @@ let run_scheme name ~use_generic =
     ignore
       (Engine.schedule engine ~delay:(float_of_int (k * 25)) (fun () ->
            Client.request client ~cmd ~on_reply:(fun _ ~latency ->
-               Stats.add latencies latency)))
+               Sample.add latencies latency)))
   done;
   let horizon = (float_of_int n_requests *. 25.0) +. 2_000.0 in
   Engine.run ~until:horizon engine;
@@ -82,9 +82,9 @@ let run_scheme name ~use_generic =
   in
   Printf.printf
     "%-26s  served %3d/%d  mean %6s ms  p95 %6s ms  consensus instances %3d  fast-path %3d  msgs %d\n"
-    name (Stats.count latencies) n_requests
-    (Stats.fmt_ms (Stats.mean latencies))
-    (Stats.fmt_ms (Stats.percentile latencies 95.0))
+    name (Sample.count latencies) n_requests
+    (Sample.fmt_ms (Sample.mean latencies))
+    (Sample.fmt_ms (Sample.percentile latencies 95.0))
     consensus_instances fast
     (Netsim.messages_sent net)
 

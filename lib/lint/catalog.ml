@@ -71,8 +71,7 @@ let realtime_dirs = [ "runtime_unix"; "server" ]
    bench cells) is deterministic and stays under D1. *)
 let realtime_files =
   [
-    "bin/gcs_server.ml"; "bin/gcs_client.ml"; "bin/gcs_top.ml";
-    "bench/e10_loopback.ml"; "bench/perf.ml";
+    "bin/gcs_server.ml"; "bin/gcs_client.ml"; "bin/gcs_top.ml"; "bench/perf.ml";
   ]
 
 let has_suffix ~suffix s =
@@ -292,10 +291,4 @@ let metric_readers =
     ("Gc_obs.Metrics.hist_count", Histogram);
     ("Gc_obs.Metrics.hist_max", Histogram);
     ("Gc_obs.Metrics.hist_mean", Histogram);
-    ("Gc_obs.Snapshot.counter", Counter);
-    ("Gc_obs.Snapshot.gauge", Gauge);
-    ("Gc_obs.Snapshot.quantile", Histogram);
-    ("Gc_obs.Snapshot.hist_count", Histogram);
-    ("Gc_obs.Snapshot.hist_max", Histogram);
-    ("Gc_obs.Snapshot.hist_mean", Histogram);
   ]

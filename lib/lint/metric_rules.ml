@@ -3,7 +3,7 @@
    counter recorded as a histogram.  What is left for the rule:
 
    - every string literal passed to a metric reader ([Metrics.counter m
-     "net.frames_in"], the [Snapshot] readers) names a declared metric of
+     "net.frames_in"], [Metrics.quantile], ...) names a declared metric of
      the kind the reader implies — a typo there reads a series that never
      exists, and the dashboard silently flatlines.  Names are collected
      from the typed tree, descending into if/match arms;

@@ -166,12 +166,3 @@ let server_reply_syncs = counter "server.reply_syncs"
 let server_recovered_ops = counter "server.recovered_ops"
 let server_dup_ops_skipped = counter "server.dup_ops_skipped"
 let server_recovery_ms = histogram "server.recovery_ms"
-
-(* loopback bench client *)
-let client_latency = histogram "client.latency"
-let client_latency_max = gauge "client.latency_max"
-let client_latency_p50 = gauge "client.latency_p50"
-let client_latency_p90 = gauge "client.latency_p90"
-let client_latency_p99 = gauge "client.latency_p99"
-let client_refused = counter "client.refused"
-let client_unexpected = counter "client.unexpected"

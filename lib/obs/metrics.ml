@@ -184,42 +184,20 @@ let view_of_entry = function
 let view t name =
   Option.map view_of_entry (Hashtbl.find_opt t.entries name)
 
-let views t =
-  List.map (fun name -> (name, view_of_entry (Hashtbl.find t.entries name)))
-    (names t)
-
-let of_views vs =
-  let t = create () in
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | V_counter n -> add_counter t name n
-      | V_gauge g -> gauge_ref t name := g
-      | V_hist hv ->
-          let h = hist t name in
-          List.iter
-            (fun (i, c) ->
-              if i >= 0 && i < n_buckets then h.counts.(i) <- h.counts.(i) + c)
-            hv.hv_buckets;
-          h.count <- hv.hv_count;
-          h.sum <- hv.hv_sum;
-          h.min <- hv.hv_min;
-          h.max <- hv.hv_max)
-    vs;
-  t
-
 (* ---------- merge ---------- *)
 
 (* Counters and histograms add; gauges keep the max (the interesting
-   cross-node reading for e.g. blocked time or queue depth). *)
+   cross-node reading for e.g. blocked time or queue depth).  An entry new
+   to [into] is copied as is, so [merged [m]] is an exact copy of [m]. *)
 let merge_into ~into src =
   Hashtbl.iter
     (fun name entry ->
       match entry with
       | Counter r -> add_counter into name !r
       | Gauge r ->
+          let fresh = not (Hashtbl.mem into.entries name) in
           let g = gauge_ref into name in
-          if !r > !g then g := !r
+          if fresh || !r > !g then g := !r
       | Hist h ->
           let h' = hist into name in
           Array.iteri
@@ -235,6 +213,68 @@ let merged ms =
   let into = create () in
   List.iter (fun m -> merge_into ~into m) ms;
   into
+
+(* ---------- delta ---------- *)
+
+let copy_hist h = { h with counts = Array.copy h.counts }
+
+(* A histogram window's exact min/max are unknowable from two cumulative
+   captures; bound them by the edges of the window's occupied buckets.
+   Raises [Exit] when a bucket or the count decreased. *)
+let hist_delta ~before ~after =
+  let counts =
+    Array.mapi
+      (fun i c ->
+        if c = 0 then 0
+        else
+          let c' = c - before.counts.(i) in
+          if c' < 0 then raise Exit else c')
+      after.counts
+  in
+  let count = after.count - before.count in
+  if count < 0 then raise Exit;
+  let first = ref (-1) and last = ref (-1) in
+  Array.iteri
+    (fun i c ->
+      if c > 0 then begin
+        if !first < 0 then first := i;
+        last := i
+      end)
+    counts;
+  {
+    counts;
+    count;
+    sum = after.sum -. before.sum;
+    min =
+      (if !first < 0 then infinity
+       else if !first = 0 then 0.0
+       else bucket_upper (!first - 1));
+    max = (if !last < 0 then neg_infinity else bucket_upper !last);
+  }
+
+(* Counters and histogram buckets subtract; a decrease means the source
+   restarted between captures, in which case [after] stands alone (the
+   Prometheus counter-reset convention).  Gauges keep the latest reading.
+   Entries present only in [after] are new since [before] and kept;
+   entries that vanished are dropped. *)
+let delta ~before ~after =
+  let d = create () in
+  Hashtbl.iter
+    (fun name entry ->
+      let entry =
+        match (entry, Hashtbl.find_opt before.entries name) with
+        | Counter a, Some (Counter b) ->
+            Counter (ref (if !a >= !b then !a - !b else !a))
+        | Counter a, _ -> Counter (ref !a)
+        | Gauge g, _ -> Gauge (ref !g)
+        | Hist a, Some (Hist b) -> (
+            try Hist (hist_delta ~before:b ~after:a)
+            with Exit -> Hist (copy_hist a))
+        | Hist a, _ -> Hist (copy_hist a)
+      in
+      Hashtbl.replace d.entries name entry)
+    after.entries;
+  d
 
 (* ---------- JSON ---------- *)
 
@@ -324,6 +364,85 @@ let of_json (j : Json.t) =
   | _ -> invalid_arg "Metrics.of_json: expected an object");
   t
 
+(* ---------- Prometheus exposition ---------- *)
+
+(* Metric names: [a-zA-Z_:][a-zA-Z0-9_:]*; our dotted names map '.' (and
+   anything else illegal) to '_'. *)
+let prom_name name =
+  String.mapi
+    (fun i c ->
+      match c with
+      | 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> c
+      | '0' .. '9' when i > 0 -> c
+      | _ -> '_')
+    name
+
+(* Label values escape backslash, double quote and newline. *)
+let prom_escape v =
+  let buf = Buffer.create (String.length v) in
+  String.iter
+    (fun c ->
+      match c with
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c -> Buffer.add_char buf c)
+    v;
+  Buffer.contents buf
+
+let prom_num x =
+  if Float.is_nan x then "NaN"
+  else if x = infinity then "+Inf"
+  else if x = neg_infinity then "-Inf"
+  else if Float.is_integer x && Float.abs x < 1e15 then
+    Printf.sprintf "%.0f" x
+  else Printf.sprintf "%.9g" x
+
+let render_labels labels extra =
+  match labels @ extra with
+  | [] -> ""
+  | kvs ->
+      "{"
+      ^ String.concat ","
+          (List.map
+             (fun (k, v) ->
+               Printf.sprintf "%s=\"%s\"" (prom_name k) (prom_escape v))
+             kvs)
+      ^ "}"
+
+let to_prometheus ?(namespace = "gcs") ?(labels = []) t =
+  let buf = Buffer.create 4096 in
+  let line fmt = Printf.ksprintf (fun l -> Buffer.add_string buf (l ^ "\n")) fmt in
+  List.iter
+    (fun name ->
+      let n = prom_name (namespace ^ "_" ^ name) in
+      match Hashtbl.find t.entries name with
+      | Counter c ->
+          line "# TYPE %s counter" n;
+          line "%s%s %d" n (render_labels labels []) !c
+      | Gauge g ->
+          line "# TYPE %s gauge" n;
+          line "%s%s %s" n (render_labels labels []) (prom_num !g)
+      | Hist h ->
+          line "# TYPE %s histogram" n;
+          let cum = ref 0 in
+          Array.iteri
+            (fun i c ->
+              if c > 0 then begin
+                cum := !cum + c;
+                line "%s_bucket%s %d" n
+                  (render_labels labels [ ("le", prom_num (bucket_upper i)) ])
+                  !cum
+              end)
+            h.counts;
+          line "%s_bucket%s %d" n
+            (render_labels labels [ ("le", "+Inf") ])
+            h.count;
+          line "%s_sum%s %s" n (render_labels labels []) (prom_num h.sum);
+          line "%s_count%s %d" n (render_labels labels []) h.count)
+    (names t);
+  Buffer.contents buf
+
 (* ---------- pretty-printing ---------- *)
 
 let pp ppf t =
@@ -345,3 +464,55 @@ let pp ppf t =
             h.max
   in
   List.iter pp_entry (names t)
+
+(* ---------- exact sample sets ---------- *)
+
+module Sample = struct
+  type t = { mutable data : float array; mutable size : int }
+
+  let create () = { data = [||]; size = 0 }
+
+  let add s x =
+    let cap = Array.length s.data in
+    if s.size = cap then begin
+      let ncap = if cap = 0 then 64 else cap * 2 in
+      let ndata = Array.make ncap 0.0 in
+      Array.blit s.data 0 ndata 0 s.size;
+      s.data <- ndata
+    end;
+    s.data.(s.size) <- x;
+    s.size <- s.size + 1
+
+  let count s = s.size
+
+  let fold f init s =
+    let acc = ref init in
+    for i = 0 to s.size - 1 do
+      acc := f !acc s.data.(i)
+    done;
+    !acc
+
+  let mean s =
+    if s.size = 0 then nan else fold ( +. ) 0.0 s /. float_of_int s.size
+
+  let max_value s = if s.size = 0 then nan else fold Float.max neg_infinity s
+
+  (* Linear interpolation between the two neighbouring ranks. *)
+  let percentile s p =
+    if s.size = 0 then nan
+    else begin
+      let sorted = Array.sub s.data 0 s.size in
+      Array.sort Float.compare sorted;
+      let rank = p /. 100.0 *. float_of_int (s.size - 1) in
+      let lo = int_of_float (Float.floor rank)
+      and hi = int_of_float (Float.ceil rank) in
+      let frac = rank -. Float.floor rank in
+      (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
+    end
+
+  let fmt_ms x =
+    if Float.is_nan x then "-"
+    else if Float.abs x >= 1000.0 then Printf.sprintf "%.0f" x
+    else if Float.abs x >= 10.0 then Printf.sprintf "%.1f" x
+    else Printf.sprintf "%.2f" x
+end

@@ -16,8 +16,15 @@
     are kept alongside and quantiles are clamped to the observed extremes.
 
     A metric name denotes one kind for the lifetime of the registry —
-    recording into an entry rebuilt as a different kind (by {!of_views}
-    or {!of_json}) raises [Invalid_argument]. *)
+    recording into an entry rebuilt as a different kind (by {!of_json})
+    raises [Invalid_argument].
+
+    A registry is also the unit of the live telemetry plane: a daemon
+    answers a [Stats] request with its registry's JSON, a monitoring
+    client ([gcs_top], the CI scrape) reads each reply back with
+    {!of_json} and subtracts consecutive ones with {!delta}, and
+    {!to_prometheus} renders the Prometheus text exposition.  Where a
+    frozen copy of a live registry is needed, [merged [m]] is one. *)
 
 type t
 
@@ -57,9 +64,7 @@ val names : t -> string list
 (** {1 Frozen views}
 
     An immutable copy of one entry, cheap to capture and safe to hold
-    across further recording.  {!Snapshot} builds its whole API on these;
-    they are exposed here because only this module sees the registry's
-    internals. *)
+    across further recording. *)
 
 type hist_view = {
   hv_count : int;
@@ -74,11 +79,6 @@ type hist_view = {
 type view = V_counter of int | V_gauge of float | V_hist of hist_view
 
 val view : t -> string -> view option
-val views : t -> (string * view) list
-(** All entries as frozen views, sorted by name. *)
-
-val of_views : (string * view) list -> t
-(** Rebuild a registry from frozen views (inverse of {!views}). *)
 
 val n_buckets : int
 (** Number of histogram buckets (shared by every histogram). *)
@@ -94,6 +94,19 @@ val bucket_upper : int -> float
     time). *)
 
 val merged : t list -> t
+(** [merged [m]] is an exact, independent copy of [m]. *)
+
+(** {1 Delta} *)
+
+val delta : before:t -> after:t -> t
+(** The window between two captures of the same registry: counters and
+    histogram buckets subtract, gauges keep the [after] reading.  A
+    counter or histogram that {e decreased} means the source restarted
+    between captures; the [after] value then stands alone (the Prometheus
+    counter-reset convention).  A delta histogram's min/max are bounded
+    by the edges of the window's occupied buckets (the exact extremes of
+    just the window are unknowable from cumulative captures).  Entries
+    only in [before] are dropped. *)
 
 (** {1 Serialisation} *)
 
@@ -110,5 +123,42 @@ val of_json : Json.t -> t
 (** Inverse of {!to_json} (derived quantiles are recomputed from buckets).
     @raise Invalid_argument when the value is not an object. *)
 
+val to_prometheus :
+  ?namespace:string -> ?labels:(string * string) list -> t -> string
+(** Prometheus text exposition: [# TYPE] comments, dotted metric names
+    mapped to [namespace_layer_metric] (default namespace ["gcs"]),
+    histograms as cumulative [_bucket{le="..."}] series plus [_sum] and
+    [_count].  [labels] are attached to every sample; label values are
+    escaped per the exposition format (backslash, double quote,
+    newline). *)
+
 val pp : Format.formatter -> t -> unit
 (** Human-readable table, one metric per line. *)
+
+(** {1 Exact sample sets}
+
+    The experiment tables print exact percentiles, so the benches keep
+    every observation rather than a histogram. *)
+
+module Sample : sig
+  type t
+  (** A growable set of float observations (e.g. latencies in ms). *)
+
+  val create : unit -> t
+  val add : t -> float -> unit
+  val count : t -> int
+
+  val mean : t -> float
+  (** [nan] when empty. *)
+
+  val max_value : t -> float
+  (** [nan] when empty. *)
+
+  val percentile : t -> float -> float
+  (** [percentile s p] for [p] in [\[0,100\]], interpolating linearly
+      between the two neighbouring ranks of the sorted observations (the
+      median of [1..100] is [50.5]); [nan] when empty. *)
+
+  val fmt_ms : float -> string
+  (** Render a duration in ms with adaptive precision (["-"] for [nan]). *)
+end

@@ -6,7 +6,7 @@ module View = Gc_membership.View
 module Process = Gc_kernel.Process
 module Storage = Gc_kernel.Storage
 module Json = Gc_obs.Json
-module Snapshot = Gc_obs.Snapshot
+module Metrics = Gc_obs.Metrics
 module Metric = Gc_obs.Metric
 
 type t = {
@@ -20,7 +20,7 @@ type t = {
          this boot's opids can never collide with an in-flight pre-crash
          submission that later gets delivered *)
   persist : unit -> unit; (* snapshot kv+incarnation into the storage slot *)
-  metrics : Gc_obs.Metrics.t;
+  metrics : Metrics.t;
   log : string -> unit;
   sync_replies : bool;
       (* acked-means-durable: fsync the delivery log before answering a
@@ -110,8 +110,6 @@ let conns_json t : Json.t =
            ])
        t.clients)
 
-let snapshot t = Snapshot.of_metrics t.metrics
-
 let stats_json t : Json.t =
   Obj
     [
@@ -121,7 +119,7 @@ let stats_json t : Json.t =
       ("kv", kv_json t);
       ("view", view_json t);
       ("clients", conns_json t);
-      ("metrics", Snapshot.to_json (snapshot t));
+      ("metrics", Metrics.to_json t.metrics);
     ]
 
 let health_json t : Json.t =
@@ -142,7 +140,7 @@ let stats_body t format =
   | Proto.Stats_json -> Json.to_string (stats_json t)
   | Proto.Stats_prometheus ->
       let labels = [ ("node", string_of_int t.id) ] in
-      Snapshot.to_prometheus ~labels (snapshot t)
+      Metrics.to_prometheus ~labels t.metrics
       (* Digests ride as an info-style gauge: constant value, identifying
          labels — hex-only values, nothing to escape. *)
       ^ Printf.sprintf
@@ -164,22 +162,22 @@ let on_client_payload t conn payload =
       | None -> reply conn ~rid ~ok:false "not found")
   | Proto.Cl_dump { rid } -> reply conn ~rid ~ok:true (Kv.dump t.kv)
   | Proto.Cl_stats { rid; format } ->
-      Gc_obs.Metrics.incr t.metrics Metric.server_stats_requests;
+      Metrics.incr t.metrics Metric.server_stats_requests;
       reply conn ~rid ~ok:true (stats_body t format)
   | Proto.Cl_health { rid } ->
-      Gc_obs.Metrics.incr t.metrics Metric.server_health_requests;
+      Metrics.incr t.metrics Metric.server_health_requests;
       reply conn ~rid ~ok:true (health_body t)
-  | _ -> Gc_obs.Metrics.incr t.metrics Metric.server_bad_request
+  | _ -> Metrics.incr t.metrics Metric.server_bad_request
 
 let on_delivery t ~origin:_ ~ordered payload =
   match payload with
   | Proto.Sv_op { origin; opid; op = _ } when Kv.seen t.kv ~origin ~opid ->
       (* Already applied during log replay or delta install — the live
          delivery raced the state transfer.  Skip, don't double-apply. *)
-      Gc_obs.Metrics.incr t.metrics Metric.server_dup_ops_skipped
+      Metrics.incr t.metrics Metric.server_dup_ops_skipped
   | Proto.Sv_op { origin; opid; op } -> (
       let result = Kv.apply t.kv ~origin ~opid ~ordered op in
-      Gc_obs.Metrics.incr t.metrics Metric.server_applied;
+      Metrics.incr t.metrics Metric.server_applied;
       (* Mid-fallback window: a full Sv_state image is on its way and its
          restore will overwrite the KV wholesale.  This delivery is
          already marked consumed by the stack's dedup sets, so park it for
@@ -193,8 +191,8 @@ let on_delivery t ~origin:_ ~ordered payload =
             (* Client-visible submit->deliver latency at the serving
                replica, split by ordering primitive. *)
             let lat = now_ms t -. submitted in
-            Gc_obs.Metrics.observe t.metrics Metric.server_latency_ms lat;
-            Gc_obs.Metrics.observe t.metrics
+            Metrics.observe t.metrics Metric.server_latency_ms lat;
+            Metrics.observe t.metrics
               (if ordered then Metric.server_latency_abcast_ms
                else Metric.server_latency_rbcast_ms)
               lat;
@@ -206,14 +204,14 @@ let on_delivery t ~origin:_ ~ordered payload =
                match t.storage with
                | Some store ->
                    Storage.sync store;
-                   Gc_obs.Metrics.incr t.metrics Metric.server_reply_syncs
+                   Metrics.incr t.metrics Metric.server_reply_syncs
                | None -> ());
             reply conn ~rid ~ok:true result
         | None -> ())
-  | _ -> Gc_obs.Metrics.incr t.metrics Metric.server_bad_delivery
+  | _ -> Metrics.incr t.metrics Metric.server_bad_delivery
 
 let accept_client t sock _addr =
-  Gc_obs.Metrics.incr t.metrics Metric.server_client_accepts;
+  Metrics.incr t.metrics Metric.server_client_accepts;
   t.log "client connected";
   let conn =
     Fconn.attach ~loop:t.loop ~metrics:t.metrics sock
@@ -240,7 +238,7 @@ let create ~loop ~id ~initial ?config ?metrics ?(log = ignore) ?join_via
     ?storage ?(snapshot_interval = 10_000.0) ?(sync_interval = 1_000.0)
     ?(sync_replies = false) ~peer_listen ~client_listen () =
   let metrics =
-    match metrics with Some m -> m | None -> Gc_obs.Metrics.create ()
+    match metrics with Some m -> m | None -> Metrics.create ()
   in
   (* Recovery runs before the stack exists: rebuild the KV from the durable
      snapshot plus the log suffix, bump the incarnation, and persist the
@@ -269,7 +267,7 @@ let create ~loop ~id ~initial ?config ?metrics ?(log = ignore) ?join_via
                incarnation := Gc_net.Wire.read_varint r;
                Kv.restore kv (Gc_net.Wire.read_str r)
              with Gc_net.Wire.Short ->
-               Gc_obs.Metrics.incr metrics Metric.server_bad_delivery);
+               Metrics.incr metrics Metric.server_bad_delivery);
             index
         | None -> 0
       in
@@ -277,11 +275,11 @@ let create ~loop ~id ~initial ?config ?metrics ?(log = ignore) ?join_via
           had_state := true;
           Resync.apply_entry ~kv ~metrics
             ~on_fresh:(fun ~entry:_ ~origin:_ ~opid:_ ~result:_ ->
-              Gc_obs.Metrics.incr metrics Metric.server_recovered_ops)
+              Metrics.incr metrics Metric.server_recovered_ops)
             entry);
       incarnation := !incarnation + 1;
       persist ();
-      Gc_obs.Metrics.observe metrics Metric.server_recovery_ms
+      Metrics.observe metrics Metric.server_recovery_ms
         ((Unix.gettimeofday () -. t0) *. 1000.);
       log
         (Printf.sprintf "recovered incarnation %d: %s" !incarnation
@@ -326,7 +324,7 @@ let create ~loop ~id ~initial ?config ?metrics ?(log = ignore) ?join_via
           (fun (origin, opid, op, ordered) ->
             if not (Kv.seen kv ~origin ~opid) then begin
               ignore (Kv.apply kv ~origin ~opid ~ordered op);
-              Gc_obs.Metrics.incr metrics Metric.server_applied
+              Metrics.incr metrics Metric.server_applied
             end)
           buffered;
         (* An installed state must be durable before we serve on top of

@@ -53,9 +53,6 @@ let emit_event t ~time ~node ~component ~kind ?msg ?(attrs = []) () =
     Queue.push { time; node; lamport; component; kind; msg; attrs } t.buf
   end
 
-let detail = Event.detail
-let attr = Event.attr
-
 let records t = List.of_seq (Queue.to_seq t.buf)
 
 let find t ?node ?component ?event ?kind ?msg ?attr:a () =
@@ -67,7 +64,7 @@ let find t ?node ?component ?event ?kind ?msg ?attr:a () =
        | Some e -> Event.kind_to_string r.kind = e)
     && (match kind with None -> true | Some k -> r.kind = k)
     && (match msg with None -> true | Some m -> r.msg = Some m)
-    && match a with None -> true | Some (k, v) -> attr r k = Some v
+    && match a with None -> true | Some (k, v) -> Event.attr r k = Some v
   in
   List.filter keep (records t)
 
@@ -79,5 +76,3 @@ let clear t =
   t.dropped <- 0
 
 let save_jsonl t path = Event.save_jsonl path (records t)
-
-let pp_record = Event.pp

@@ -58,12 +58,6 @@ val emit_event :
 
 (** {1 Inspection} *)
 
-val detail : record -> string
-(** Attributes rendered as ["k=v k=v ..."]. *)
-
-val attr : record -> string -> string option
-(** [attr r k] is the value of attribute [k], if present. *)
-
 val records : t -> record list
 (** Records in emission order. *)
 
@@ -87,5 +81,3 @@ val clear : t -> unit
 val save_jsonl : t -> string -> unit
 (** Dump the buffered records as JSON-lines, one event per line —
     the format [gcs_trace] consumes. *)
-
-val pp_record : Format.formatter -> record -> unit

@@ -37,9 +37,9 @@ let test_trace_roundtrip () =
   (match Trace.find tr ~attr:("extra", "z") () with
   | [ r ] ->
       Alcotest.(check string) "derived detail" "step=three extra=z"
-        (Trace.detail r);
+        (Event.detail r);
       Alcotest.(check (option string)) "attr lookup" (Some "three")
-        (Trace.attr r "step")
+        (Event.attr r "step")
   | rs -> Alcotest.failf "expected 1 record with extra=z, got %d" (List.length rs));
   Trace.clear tr;
   check_int "cleared" 0 (List.length (Trace.records tr))

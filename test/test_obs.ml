@@ -35,7 +35,10 @@ let test_counters () =
 (* Typed names rule out a wrong kind at a recording site; an entry rebuilt
    from serialised data can still disagree, and recording into it raises. *)
 let test_kind_mismatch () =
-  let m = Metrics.of_views [ ("abcast.latency_ms", Metrics.V_counter 1) ] in
+  let m =
+    Metrics.of_json
+      (Json.of_string {|{"abcast.latency_ms":{"type":"counter","value":1}}|})
+  in
   Alcotest.check_raises "counter used as histogram"
     (Invalid_argument "Metrics: abcast.latency_ms is not a histogram")
     (fun () -> Metrics.observe m Metric.abcast_latency_ms 1.0)
@@ -99,7 +102,11 @@ let test_merge () =
   check_float "merged max" 50.0 (Metrics.hist_max m "abcast.latency_ms");
   check_int "entry present in one side survives" 1
     (Metrics.counter m "gbcast.delivered");
-  check_int "sources untouched" 3 (Metrics.counter a "abcast.delivered")
+  check_int "sources untouched" 3 (Metrics.counter a "abcast.delivered");
+  (* A one-registry merge is an exact copy, down to a gauge below zero. *)
+  Metrics.set_gauge a Metric.evloop_open_fds (-1.5);
+  check_float "copy keeps a negative gauge" (-1.5)
+    (Metrics.gauge (Metrics.merged [ a ]) "evloop.open_fds")
 
 (* ---------- JSON round-trip ---------- *)
 
@@ -122,6 +129,37 @@ let test_json_roundtrip () =
   check_float "histogram max survives"
     (Metrics.hist_max m "abcast.latency_ms")
     (Metrics.hist_max m' "abcast.latency_ms");
+  (* One estimator serves a live registry, its JSON round-trip and its
+     delta against an empty registry alike; the second input spreads over
+     five decades with a heavy tail. *)
+  let m2 = Metrics.create () in
+  for v = 1 to 90 do
+    Metrics.observe m2 Metric.abcast_latency_ms (float_of_int v *. 0.013)
+  done;
+  for v = 1 to 10 do
+    Metrics.observe m2 Metric.abcast_latency_ms (float_of_int v *. 250.0)
+  done;
+  let name = "abcast.latency_ms" in
+  List.iter
+    (fun live ->
+      List.iter
+        (fun (what, copy) ->
+          check_int (what ^ ": hist_count") (Metrics.hist_count live name)
+            (Metrics.hist_count copy name);
+          check_float (what ^ ": hist_max") (Metrics.hist_max live name)
+            (Metrics.hist_max copy name);
+          List.iter
+            (fun q ->
+              check_float
+                (Printf.sprintf "%s: quantile %g" what q)
+                (Metrics.quantile live name q)
+                (Metrics.quantile copy name q))
+            [ 0.01; 0.5; 0.9; 0.99; 1.0 ])
+        [
+          ("of_json", Metrics.of_json (Metrics.to_json live));
+          ("delta", Metrics.delta ~before:(Metrics.create ()) ~after:live);
+        ])
+    [ m; m2 ];
   (* And through the string parser too. *)
   let m'' = Metrics.of_json (Json.of_string (Json.to_string_pretty j)) in
   Alcotest.(check string)
@@ -129,8 +167,6 @@ let test_json_roundtrip () =
     (Json.to_string (Metrics.to_json m''))
 
 (* ---------- snapshots: capture, delta, exposition ---------- *)
-
-module Snapshot = Gc_obs.Snapshot
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -146,18 +182,18 @@ let test_snapshot_immutable () =
   let m = Metrics.create () in
   Metrics.incr m Metric.abcast_delivered ~by:2;
   Metrics.observe m Metric.abcast_latency_ms 1.0;
-  let s = Snapshot.of_metrics m in
+  let s = Metrics.merged [ m ] in
   Metrics.incr m Metric.abcast_delivered ~by:40;
   Metrics.observe m Metric.abcast_latency_ms 9.0;
-  check_int "capture frozen: counter" 2 (Snapshot.counter s "abcast.delivered");
+  check_int "capture frozen: counter" 2 (Metrics.counter s "abcast.delivered");
   check_int "capture frozen: hist count" 1
-    (Snapshot.hist_count s "abcast.latency_ms");
-  (* And it round-trips through JSON bit-compatibly with Metrics.to_json. *)
-  let j = Snapshot.to_json s in
+    (Metrics.hist_count s "abcast.latency_ms");
+  (* And it round-trips through JSON bit-compatibly. *)
+  let j = Metrics.to_json s in
   Alcotest.(check string)
     "snapshot json round-trip"
     (Json.to_string j)
-    (Json.to_string (Snapshot.to_json (Snapshot.of_json j)))
+    (Json.to_string (Metrics.to_json (Metrics.of_json j)))
 
 let test_snapshot_delta () =
   let m = Metrics.create () in
@@ -166,25 +202,24 @@ let test_snapshot_delta () =
   for v = 1 to 50 do
     Metrics.observe m Metric.abcast_latency_ms (float_of_int v)
   done;
-  let before = Snapshot.of_metrics m in
+  let before = Metrics.merged [ m ] in
   Metrics.incr m Metric.abcast_delivered ~by:7;
   Metrics.set_gauge m Metric.evloop_open_fds 2.5;
   for v = 51 to 80 do
     Metrics.observe m Metric.abcast_latency_ms (float_of_int v)
   done;
   Metrics.incr m Metric.gbcast_submitted;
-  let after = Snapshot.of_metrics m in
-  let d = Snapshot.delta ~before ~after in
-  check_int "counters subtract" 7 (Snapshot.counter d "abcast.delivered");
+  let d = Metrics.delta ~before ~after:m in
+  check_int "counters subtract" 7 (Metrics.counter d "abcast.delivered");
   check_float "gauges keep the after reading" 2.5
-    (Snapshot.gauge d "evloop.open_fds");
+    (Metrics.gauge d "evloop.open_fds");
   check_int "histogram window count" 30
-    (Snapshot.hist_count d "abcast.latency_ms");
+    (Metrics.hist_count d "abcast.latency_ms");
   check_int "entries born inside the window survive" 1
-    (Snapshot.counter d "gbcast.submitted");
+    (Metrics.counter d "gbcast.submitted");
   (* The window held 51..80 only: its median must sit far above the
      cumulative median (~40), even with one-bucket resolution. *)
-  let p50 = Snapshot.quantile d "abcast.latency_ms" 0.5 in
+  let p50 = Metrics.quantile d "abcast.latency_ms" 0.5 in
   Alcotest.(check bool)
     (Printf.sprintf "window p50 %.1f reflects only the window" p50)
     true
@@ -196,17 +231,15 @@ let test_snapshot_counter_reset () =
   for _ = 1 to 20 do
     Metrics.observe a Metric.abcast_latency_ms 5.0
   done;
-  let before = Snapshot.of_metrics a in
   (* The source restarts: a fresh registry with smaller readings. *)
   let b = Metrics.create () in
   Metrics.incr b Metric.abcast_delivered ~by:3;
   Metrics.observe b Metric.abcast_latency_ms 5.0;
-  let after = Snapshot.of_metrics b in
-  let d = Snapshot.delta ~before ~after in
+  let d = Metrics.delta ~before:a ~after:b in
   check_int "decreased counter: after stands alone" 3
-    (Snapshot.counter d "abcast.delivered");
+    (Metrics.counter d "abcast.delivered");
   check_int "decreased histogram: after stands alone" 1
-    (Snapshot.hist_count d "abcast.latency_ms")
+    (Metrics.hist_count d "abcast.latency_ms")
 
 let test_snapshot_quantiles_known () =
   let m = Metrics.create () in
@@ -214,10 +247,9 @@ let test_snapshot_quantiles_known () =
   for _ = 1 to 100 do
     Metrics.observe m Metric.server_latency_ms 42.0
   done;
-  let s = Snapshot.of_metrics m in
-  check_float "point mass p50" 42.0 (Snapshot.quantile s "server.latency_ms" 0.5);
+  check_float "point mass p50" 42.0 (Metrics.quantile m "server.latency_ms" 0.5);
   check_float "point mass p99" 42.0
-    (Snapshot.quantile s "server.latency_ms" 0.99);
+    (Metrics.quantile m "server.latency_ms" 0.99);
   (* A 9:1 bimodal mix: p50 near the low mode, p99 at the high one. *)
   let m2 = Metrics.create () in
   for _ = 1 to 90 do
@@ -226,9 +258,8 @@ let test_snapshot_quantiles_known () =
   for _ = 1 to 10 do
     Metrics.observe m2 Metric.server_latency_ms 1000.0
   done;
-  let s2 = Snapshot.of_metrics m2 in
-  let p50 = Snapshot.quantile s2 "server.latency_ms" 0.5 in
-  let p99 = Snapshot.quantile s2 "server.latency_ms" 0.99 in
+  let p50 = Metrics.quantile m2 "server.latency_ms" 0.5 in
+  let p99 = Metrics.quantile m2 "server.latency_ms" 0.99 in
   Alcotest.(check bool)
     (Printf.sprintf "bimodal p50 %.2f stays at the low mode" p50)
     true
@@ -236,7 +267,7 @@ let test_snapshot_quantiles_known () =
   check_float "bimodal p99 clamps to max" 1000.0 p99;
   Alcotest.(check bool)
     "absent histogram quantile is nan" true
-    (Float.is_nan (Snapshot.quantile s2 "nope" 0.5))
+    (Float.is_nan (Metrics.quantile m2 "nope" 0.5))
 
 let test_include_zeros () =
   let m = Metrics.create () in
@@ -250,13 +281,14 @@ let test_include_zeros () =
     "default drops zero counters" false
     (contains default "\"gbcast.delivered\"");
   check_contains "include_zeros keeps zero counters" kept "\"gbcast.delivered\"";
-  (* Snapshot exposition honours the same flag. *)
-  let s = Snapshot.of_metrics m in
+  (* A frozen copy keeps the zero entries, so its exposition honours the
+     same flag. *)
+  let s = Metrics.merged [ m ] in
   Alcotest.(check bool)
     "snapshot default drops zeros too" false
-    (contains (Json.to_string (Snapshot.to_json s)) "\"gbcast.delivered\"");
+    (contains (Json.to_string (Metrics.to_json s)) "\"gbcast.delivered\"");
   check_contains "snapshot include_zeros"
-    (Json.to_string (Snapshot.to_json ~include_zeros:true s))
+    (Json.to_string (Metrics.to_json ~include_zeros:true s))
     "\"gbcast.delivered\""
 
 let test_prometheus_exposition () =
@@ -266,9 +298,8 @@ let test_prometheus_exposition () =
   Metrics.observe m Metric.server_latency_ms 0.5;
   Metrics.observe m Metric.server_latency_ms 2.0;
   Metrics.observe m Metric.server_latency_ms 100.0;
-  let s = Snapshot.of_metrics m in
   let text =
-    Snapshot.to_prometheus ~labels:[ ("node", "a\\b\"c\nd") ] s
+    Metrics.to_prometheus ~labels:[ ("node", "a\\b\"c\nd") ] m
   in
   (* Dotted names sanitise to the exposition charset, under the gcs_
      namespace. *)
@@ -317,10 +348,10 @@ let test_trace_capacity () =
   check_int "capacity bounds the buffer" 10 (List.length rs);
   Alcotest.(check (option string))
     "oldest surviving record is #15" (Some "15")
-    (Trace.attr (List.hd rs) "i");
+    (Gc_obs.Event.attr (List.hd rs) "i");
   Alcotest.(check (option string))
     "newest record is #24" (Some "24")
-    (Trace.attr (List.nth rs 9) "i")
+    (Gc_obs.Event.attr (List.nth rs 9) "i")
 
 let test_structured_emit () =
   let t = Trace.create ~enabled:true () in
@@ -334,9 +365,9 @@ let test_structured_emit () =
   | [ r1; r2 ] ->
       Alcotest.(check (option string))
         "attrs carry the detail" (Some "free-form detail")
-        (Trace.attr r1 "detail");
+        (Gc_obs.Event.attr r1 "detail");
       Alcotest.(check string)
-        "detail rendering" "detail=free-form detail" (Trace.detail r1);
+        "detail rendering" "detail=free-form detail" (Gc_obs.Event.detail r1);
       Alcotest.(check bool)
         "known tags parse to typed kinds" true
         (r1.Trace.kind = Gc_obs.Event.Deliver);
