@@ -217,6 +217,7 @@ let registrars =
     ("Gc_runtime_unix.Evloop.set_read", Loop);
     ("Gc_runtime_unix.Evloop.set_write", Loop);
     ("Gc_runtime_unix.Evloop.schedule", Loop);
+    ("Gc_runtime_unix.Evloop.defer", Loop);
     ("Gc_runtime_unix.Fconn.listen", Loop);
     ("Gc_runtime_unix.Fconn.attach", Handler);
     ("Gc_kernel.Process.on_receive", Handler);

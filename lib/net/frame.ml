@@ -11,35 +11,66 @@ let error_to_string = function
 
 let default_limit = 1 lsl 20
 
-let encode ?(limit = default_limit) p =
-  match Payload.encode p with
+let prefix_len = 4
+
+let encode_into ?(limit = default_limit) w p =
+  Buffer.clear w;
+  match Payload.encode_to w p with
   | Error e -> Error (Codec e)
-  | Ok body ->
-      let n = String.length body in
+  | Ok () ->
+      let n = Buffer.length w in
       if n > limit then Error (Oversized { len = n; limit })
-      else begin
-        let b = Bytes.create (4 + n) in
-        Bytes.set_int32_be b 0 (Int32.of_int n);
-        Bytes.blit_string body 0 b 4 n;
-        Ok (Bytes.unsafe_to_string b)
-      end
+      else Ok (prefix_len + n)
+
+let blit_frame w dst off =
+  let n = Buffer.length w in
+  Bytes.set_int32_be dst off (Int32.of_int n);
+  Buffer.blit w 0 dst (off + prefix_len) n
+
+let encode ?limit p =
+  let w = Buffer.create 128 in
+  match encode_into ?limit w p with
+  | Error e -> Error e
+  | Ok len ->
+      let b = Bytes.create len in
+      blit_frame w b 0;
+      Ok (Bytes.unsafe_to_string b)
+
+let slide b ~pos ~len ~cap =
+  let dst =
+    if cap <= Bytes.length b then b
+    else begin
+      let c = ref (max 1 (Bytes.length b) * 2) in
+      while cap > !c do
+        c := !c * 2
+      done;
+      Bytes.create !c
+    end
+  in
+  if len > 0 && (pos > 0 || dst != b) then Bytes.blit b pos dst 0 len;
+  dst
 
 module Decoder = struct
   type t = {
     limit : int;
     metrics : Gc_obs.Metrics.t option;
-    mutable buf : Bytes.t;  (* fed, not yet consumed: [pos, fill) *)
+    mutable buf : Bytes.t;  (* received, not yet consumed: [pos, fill) *)
     mutable pos : int;
     mutable fill : int;
     mutable dead : bool;
     mutable rejected : int;
   }
 
+  (* Most frames are a few hundred bytes; a larger one grows the buffer
+     when its length prefix arrives, so an idle connection holds 4 KiB,
+     not its largest frame. *)
+  let initial_capacity = 4096
+
   let create ?(limit = default_limit) ?metrics () =
     {
       limit;
       metrics;
-      buf = Bytes.create 4096;
+      buf = Bytes.create initial_capacity;
       pos = 0;
       fill = 0;
       dead = false;
@@ -54,26 +85,28 @@ module Decoder = struct
     | Some m -> Gc_obs.Metrics.incr m Gc_obs.Metric.net_frame_reject
     | None -> ()
 
-  let ensure_room t extra =
+  (* Move the unconsumed bytes to the front of a buffer of at least [cap]
+     bytes. *)
+  let compact t cap =
     let used = buffered t in
-    if t.pos > 0 && (used = 0 || t.pos > Bytes.length t.buf / 2) then begin
-      Bytes.blit t.buf t.pos t.buf 0 used;
-      t.pos <- 0;
-      t.fill <- used
-    end;
-    if t.fill + extra > Bytes.length t.buf then begin
-      let cap = ref (Bytes.length t.buf * 2) in
-      while t.fill + extra > !cap do
-        cap := !cap * 2
-      done;
-      let bigger = Bytes.create !cap in
-      Bytes.blit t.buf 0 bigger 0 t.fill;
-      t.buf <- bigger
+    t.buf <- slide t.buf ~pos:t.pos ~len:used ~cap;
+    t.pos <- 0;
+    t.fill <- used
+
+  let room t = Bytes.length t.buf - buffered t
+
+  let read_from t read =
+    if t.dead then 0
+    else begin
+      if t.pos > 0 then compact t 0;
+      let n = read t.buf t.fill (Bytes.length t.buf - t.fill) in
+      if n > 0 then t.fill <- t.fill + n;
+      n
     end
 
   let feed t src ~off ~len =
     if len > 0 && not t.dead then begin
-      ensure_room t len;
+      if t.fill + len > Bytes.length t.buf then compact t (buffered t + len);
       Bytes.blit src off t.buf t.fill len;
       t.fill <- t.fill + len
     end
@@ -83,7 +116,7 @@ module Decoder = struct
 
   let next t =
     if t.dead then `Corrupt (Bad_length (-1))
-    else if buffered t < 4 then `Await
+    else if buffered t < prefix_len then `Await
     else begin
       let len = Int32.to_int (Bytes.get_int32_be t.buf t.pos) in
       if len < 0 then begin
@@ -96,11 +129,20 @@ module Decoder = struct
         reject t;
         `Corrupt (Oversized { len; limit = t.limit })
       end
-      else if buffered t < 4 + len then `Await
+      else if buffered t < prefix_len + len then begin
+        (* The only place the buffer grows on the read path: a frame
+           announced bigger than it can hold. *)
+        if prefix_len + len > Bytes.length t.buf then compact t (prefix_len + len);
+        `Await
+      end
       else begin
-        let body = Bytes.sub_string t.buf (t.pos + 4) len in
-        t.pos <- t.pos + 4 + len;
-        match Payload.decode body with
+        let body = t.pos + prefix_len in
+        t.pos <- body + len;
+        (* In place: the codec reads the body through a slice of the
+           buffer.  The unsafe view lives only for this call, and the
+           decoded payload copies every field out of it, so later reads
+           may overwrite the buffer. *)
+        match Payload.decode ~pos:body ~len (Bytes.unsafe_to_string t.buf) with
         | Ok p -> `Payload p
         | Error e ->
             reject t;

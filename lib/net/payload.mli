@@ -49,13 +49,19 @@ val register_codec :
 val malformed : string -> 'a
 (** For decoders: reject the input with a {!Malformed} error. *)
 
-val encode : t -> (string, codec_error) result
-(** Self-describing binary encoding (tag + body), usable as a {!Frame}
-    body.  Total: never raises. *)
+val encode_to : Wire.writer -> t -> (unit, codec_error) result
+(** Append the self-describing binary encoding (tag + body) of a payload
+    to the writer.  Total: never raises; on error the writer is left as it
+    was. *)
 
-val decode : string -> (t, codec_error) result
-(** Inverse of {!encode}; rejects truncated input, trailing bytes, unknown
-    tags and malformed bodies with a typed error instead of raising. *)
+val encode : t -> (string, codec_error) result
+(** {!encode_to} into a fresh writer, usable as a {!Frame} body. *)
+
+val decode : ?pos:int -> ?len:int -> string -> (t, codec_error) result
+(** Inverse of {!encode} over a slice (default: the whole string); rejects
+    truncated input, trailing bytes, unknown tags and malformed bodies with
+    a typed error instead of raising.  The decoded value shares no memory
+    with the input: every string field is copied out of it. *)
 
 val encodable : t -> bool
 (** Whether some registered codec claims the value. *)

@@ -18,6 +18,8 @@ type t = {
   timers : timer_cell Heap.t;
   mutable timer_seq : int;
   watchers : (Unix.file_descr, watcher) Hashtbl.t;
+  deferred : (unit -> unit) Queue.t;
+  mutable in_tick : bool;
   mutable running : bool;
   metrics : Gc_obs.Metrics.t option;
 }
@@ -49,6 +51,8 @@ let create ?metrics () =
         ();
     timer_seq = 0;
     watchers = Hashtbl.create 32;
+    deferred = Queue.create ();
+    in_tick = false;
     running = false;
     metrics;
   }
@@ -90,6 +94,15 @@ let set_write t fd cb =
   prune t fd w
 
 let forget t fd = Hashtbl.remove t.watchers fd
+
+let defer t f = if t.in_tick then Queue.push f t.deferred else f ()
+
+(* Callbacks deferred while running deferred callbacks run in this same
+   step, so the tick ends with the queue empty. *)
+let run_deferred t =
+  while not (Queue.is_empty t.deferred) do
+    (Queue.pop t.deferred) ()
+  done
 
 (* Watched descriptors in ascending fd order.  [Unix.file_descr] is
    abstract, but on every Unix port it is the numeric descriptor, so
@@ -170,6 +183,7 @@ let run_once t ~max_wait =
      runtime returns them reversed); sort so dispatch is in fd order. *)
   let ready_r = List.sort compare ready_r
   and ready_w = List.sort compare ready_w in
+  t.in_tick <- true;
   (* Look each callback up at dispatch time: an earlier callback in the
      batch may close a sibling's descriptor and unregister it. *)
   List.iter
@@ -185,6 +199,8 @@ let run_once t ~max_wait =
       | _ -> ())
     ready_w;
   fire_due t;
+  run_deferred t;
+  t.in_tick <- false;
   match t.metrics with
   | None -> ()
   | Some m ->

@@ -13,7 +13,8 @@ val create : ?metrics:Gc_obs.Metrics.t -> unit -> t
 (** With [metrics], the loop profiles itself into the registry: per-tick
     histograms [evloop.tick_ms] (whole iteration),
     [evloop.select_wait_ms] (blocked in [select]) and
-    [evloop.callback_ms] (dispatching descriptor callbacks and timers);
+    [evloop.callback_ms] (dispatching descriptor callbacks, timers and
+    deferred callbacks);
     per-timer [evloop.timer_lag_ms] (firing time minus deadline) with
     counter [evloop.timer_overdue] for lags over 5 ms; counter
     [evloop.ticks] and gauge [evloop.open_fds] (watched descriptors).
@@ -35,15 +36,24 @@ val set_write : t -> Unix.file_descr -> (unit -> unit) option -> unit
 val forget : t -> Unix.file_descr -> unit
 (** Drop both callbacks (before closing the descriptor). *)
 
+val defer : t -> (unit -> unit) -> unit
+(** Inside a {!run_once} tick, run the callback at the end of that tick,
+    after every descriptor callback and due timer, in the order deferred.
+    Outside a tick, run it at once.  {!Fconn} defers its writes this way,
+    so a connection written to several times in one tick costs one
+    [write(2)]. *)
+
 val watched_fds : t -> Unix.file_descr list
 (** The currently watched descriptors in ascending fd order — the order
     {!run_once} polls and dispatches them in, independent of registration
     history. *)
 
 val run_once : t -> max_wait:float -> unit
-(** One iteration: wait up to [max_wait] ms (bounded by the next timer
-    deadline) for descriptor activity, dispatch ready callbacks, fire due
-    timers. *)
+(** One iteration (a tick): wait up to [max_wait] ms (bounded by the next
+    timer deadline) for descriptor activity, dispatch ready callbacks,
+    fire due timers, then run the callbacks {!defer}red during the tick
+    (including any they defer in turn).  The deferred step is part of the
+    tick's [evloop.callback_ms]. *)
 
 val run_for : t -> float -> unit
 (** Iterate for the given number of milliseconds (tests, demos). *)

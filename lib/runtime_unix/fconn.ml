@@ -3,6 +3,11 @@ module Metric = Gc_obs.Metric
 
 let out_cap = 256 * 1024
 
+(* Bytes held for the end-of-tick flush are written at once when they
+   reach this much, so a tick never holds more than a quarter of [out_cap]
+   and the cap drops only bytes the kernel has refused. *)
+let hold_max = out_cap / 4
+
 type stats = {
   bytes_in : int;
   bytes_out : int;
@@ -15,8 +20,11 @@ type t = {
   sock : Unix.file_descr;
   metrics : Gc_obs.Metrics.t option;
   decoder : Frame.Decoder.t;
-  out : Buffer.t;
-  mutable out_pos : int; (* flushed prefix of [out] *)
+  mutable out : Bytes.t; (* frames not yet written: [out_start, out_fill) *)
+  mutable out_start : int;
+  mutable out_fill : int;
+  mutable flush_deferred : bool; (* a flush waits for the end of the tick *)
+  mutable await_writable : bool; (* the kernel refused bytes; watching *)
   mutable connecting : bool;
   mutable is_closed : bool;
   mutable bytes_in : int;
@@ -25,8 +33,12 @@ type t = {
   mutable frames_out : int;
   on_payload : t -> Gc_net.Payload.t -> unit;
   on_close : t -> unit;
-  scratch : Bytes.t;
 }
+
+(* Every send encodes into this one writer and blits the frame into the
+   connection's buffer.  The loop is single-threaded and encoding never
+   re-enters [send], so one writer serves every connection. *)
+let scratch = Buffer.create 4096
 
 let fd t = t.sock
 let closed t = t.is_closed
@@ -50,39 +62,41 @@ let count t name by =
    AND write callback — is dropped before the descriptor is closed (so a
    reused fd number can never inherit a stale callback), and the out
    buffer is released here rather than waiting for the GC to collect the
-   connection (it caps at [out_cap] — 256 KiB of dead bytes otherwise). *)
+   connection (up to [out_cap] — 256 KiB of dead bytes otherwise). *)
 let close t =
   if not t.is_closed then begin
     t.is_closed <- true;
     Evloop.forget t.loop t.sock;
-    Buffer.clear t.out;
-    t.out_pos <- 0;
+    t.out <- Bytes.empty;
+    t.out_start <- 0;
+    t.out_fill <- 0;
     (try Unix.close t.sock with Unix.Unix_error _ -> ());
     t.on_close t
   end
 
-let pending_out t = Buffer.length t.out - t.out_pos
+let pending_out t = t.out_fill - t.out_start
 
 let rec flush t =
   if (not t.is_closed) && not t.connecting then begin
     let n = pending_out t in
     if n = 0 then begin
-      (* Drained: compact and stop watching for writability. *)
-      Buffer.clear t.out;
-      t.out_pos <- 0;
-      Evloop.set_write t.loop t.sock None
+      (* Drained: rewind and stop watching for writability. *)
+      t.out_start <- 0;
+      t.out_fill <- 0;
+      if t.await_writable then begin
+        t.await_writable <- false;
+        Evloop.set_write t.loop t.sock None
+      end
     end
-    else begin
-      let chunk = Bytes.unsafe_of_string (Buffer.contents t.out) in
-      match Unix.write t.sock chunk t.out_pos n with
+    else
+      match Unix.write t.sock t.out t.out_start n with
       | written ->
-          t.out_pos <- t.out_pos + written;
+          t.out_start <- t.out_start + written;
           t.bytes_out <- t.bytes_out + written;
           count t Metric.net_bytes_out written;
-          if written = n then flush t
-          else Evloop.set_write t.loop t.sock (Some (fun () -> flush t))
+          if written = n then flush t else await_writable t
       | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) ->
-          Evloop.set_write t.loop t.sock (Some (fun () -> flush t))
+          await_writable t
       | exception Unix.Unix_error (Unix.EINTR, _, _) ->
           (* A signal interrupting the write is not a dead peer: the bytes
              are still queued, try again. *)
@@ -93,20 +107,51 @@ let rec flush t =
              half-flushed buffer can never be retried against a closed
              (or recycled) descriptor. *)
           close t
-    end
+  end
+
+and await_writable t =
+  if not t.await_writable then begin
+    t.await_writable <- true;
+    Evloop.set_write t.loop t.sock (Some (fun () -> flush t))
+  end
+
+(* Room for [len] more bytes at [out_fill].  [send] keeps the pending
+   bytes within [out_cap], so the buffer never outgrows it. *)
+let reserve t len =
+  if t.out_fill + len > Bytes.length t.out then begin
+    let used = pending_out t in
+    t.out <- Frame.slide t.out ~pos:t.out_start ~len:used ~cap:(used + len);
+    t.out_start <- 0;
+    t.out_fill <- used
+  end
+
+(* Within a tick the bytes wait for the loop's end-of-tick step, so every
+   frame a tick sends on this connection leaves in one write; outside a
+   tick [Evloop.defer] runs the flush at once. *)
+let schedule_flush t =
+  if t.connecting || t.await_writable then ()
+    (* [finish_connect] or the writable callback flushes *)
+  else if pending_out t >= hold_max then flush t
+  else if not t.flush_deferred then begin
+    t.flush_deferred <- true;
+    Evloop.defer t.loop (fun () ->
+        t.flush_deferred <- false;
+        flush t)
   end
 
 let send t payload =
   if not t.is_closed then
-    match Frame.encode payload with
-    | Error _ -> () (* unencodable: dropped, datagram semantics *)
-    | Ok frame ->
-        if pending_out t + String.length frame <= out_cap then begin
-          Buffer.add_string t.out frame;
-          t.frames_out <- t.frames_out + 1;
-          count t Metric.net_frames_out 1;
-          if not t.connecting then flush t
-        end
+    match Frame.encode_into scratch payload with
+    | Ok len when pending_out t + len <= out_cap ->
+        reserve t len;
+        Frame.blit_frame scratch t.out t.out_fill;
+        t.out_fill <- t.out_fill + len;
+        t.frames_out <- t.frames_out + 1;
+        count t Metric.net_frames_out 1;
+        schedule_flush t
+    | Ok _ | Error _ ->
+        (* Over the cap or unencodable: dropped, datagram semantics. *)
+        count t Metric.net_tx_drop 1
 
 let rec drain_frames t =
   if not t.is_closed then
@@ -122,19 +167,24 @@ let rec drain_frames t =
            framing-level corruption is unrecoverable. *)
         if Frame.Decoder.dead t.decoder then close t else drain_frames t
 
-let on_readable t () =
-  if not t.is_closed then
-    match Unix.read t.sock t.scratch 0 (Bytes.length t.scratch) with
+(* Reads land straight in the decoder's buffer.  A read that fills all the
+   room offered may have left bytes in the socket, so read again once the
+   complete frames are handed on. *)
+let rec on_readable t () =
+  if not t.is_closed then begin
+    let room = Frame.Decoder.room t.decoder in
+    match Frame.Decoder.read_from t.decoder (Unix.read t.sock) with
     | 0 -> close t
     | n ->
         t.bytes_in <- t.bytes_in + n;
         count t Metric.net_bytes_in n;
-        Frame.Decoder.feed t.decoder t.scratch ~off:0 ~len:n;
-        drain_frames t
+        drain_frames t;
+        if n = room then on_readable t ()
     | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) ->
         () (* interrupted, not dead: select will report readable again *)
     | exception Unix.Unix_error _ -> close t
+  end
 
 let finish_connect t () =
   if t.connecting && not t.is_closed then begin
@@ -157,8 +207,11 @@ let attach ~loop ?metrics ?frame_limit ?(connecting = false) sock ~on_payload
       sock;
       metrics;
       decoder = Frame.Decoder.create ?limit:frame_limit ?metrics ();
-      out = Buffer.create 4096;
-      out_pos = 0;
+      out = Bytes.create 4096;
+      out_start = 0;
+      out_fill = 0;
+      flush_deferred = false;
+      await_writable = false;
       connecting;
       is_closed = false;
       bytes_in = 0;
@@ -167,7 +220,6 @@ let attach ~loop ?metrics ?frame_limit ?(connecting = false) sock ~on_payload
       frames_out = 0;
       on_payload;
       on_close;
-      scratch = Bytes.create 65_536;
     }
   in
   Evloop.set_read loop sock (Some (on_readable t));

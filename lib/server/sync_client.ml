@@ -3,7 +3,6 @@ module Frame = Gc_net.Frame
 type t = {
   sock : Unix.file_descr;
   decoder : Frame.Decoder.t;
-  scratch : Bytes.t;
   mutable next_rid : int;
   mutable is_closed : bool;
 }
@@ -28,7 +27,6 @@ let connect addr =
             {
               sock;
               decoder = Frame.Decoder.create ();
-              scratch = Bytes.create 65_536;
               next_rid = 0;
               is_closed = false;
             }
@@ -81,13 +79,11 @@ let await_reply t ~rid ~timeout =
         if remaining <= 0.0 then Error Timeout
         else begin
           Unix.setsockopt_float t.sock Unix.SO_RCVTIMEO remaining;
-          match Unix.read t.sock t.scratch 0 (Bytes.length t.scratch) with
+          match Frame.Decoder.read_from t.decoder (Unix.read t.sock) with
           | 0 ->
               close t;
               Error Closed
-          | n ->
-              Frame.Decoder.feed t.decoder t.scratch ~off:0 ~len:n;
-              next_frame ()
+          | _ -> next_frame ()
           | exception
               Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
               Error Timeout

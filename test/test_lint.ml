@@ -244,20 +244,26 @@ let test_typed_w3 () =
     (rule_lines (typed_findings ~rule:"W2" [ "Fixture_w3" ]))
 
 let test_typed_b1 () =
-  match typed_findings ~rule:"B1" [ "Fixture_b1" ] with
-  | [ d ] ->
-      Alcotest.(check int) "flagged at the sleeping call" 7 d.D.line;
-      let contains needle hay =
-        let n = String.length needle in
-        let rec go i =
-          i + n <= String.length hay
-          && (String.sub hay i n = needle || go (i + 1))
-        in
-        go 0
-      in
+  let contains needle hay =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  match
+    List.sort
+      (fun a b -> Int.compare a.D.line b.D.line)
+      (typed_findings ~rule:"B1" [ "Fixture_b1" ])
+  with
+  | [ d1; d2 ] ->
+      Alcotest.(check int) "flagged at the sleeping call" 8 d1.D.line;
       Alcotest.(check bool) "chain names the blocker" true
-        (contains "Unix.sleep" d.D.message)
-  | ds -> Alcotest.failf "expected exactly 1 B1, got %d" (List.length ds)
+        (contains "Unix.sleep" d1.D.message);
+      Alcotest.(check int) "reached through Evloop.defer" 10 d2.D.line;
+      Alcotest.(check bool) "deferred chain names the blocker" true
+        (contains "Unix.sleepf" d2.D.message)
+  | ds -> Alcotest.failf "expected exactly 2 B1, got %d" (List.length ds)
 
 let test_typed_b2 () =
   match typed_findings ~rule:"B2" [ "Fixture_b2" ] with

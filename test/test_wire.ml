@@ -374,6 +374,155 @@ let test_decoder_dead_on_bad_length () =
   | _ -> Alcotest.fail "dead decoder stays corrupt");
   check_int "reject counted" 1 (Metrics.counter m "net.frame_reject")
 
+(* ---------- the connection encode path and in-place decoding ---------- *)
+
+let hot_path_corpus = lazy (capture_hot_path_payloads ())
+
+(* The frame layout as the wire format defines it: a 4-byte big-endian
+   body length, then the payload codec's bytes. *)
+let reference_frame p =
+  match Payload.encode p with
+  | Error e -> Alcotest.failf "encode: %s" (Payload.codec_error_to_string e)
+  | Ok body ->
+      let prefix = Bytes.create 4 in
+      Bytes.set_int32_be prefix 0 (Int32.of_int (String.length body));
+      Bytes.to_string prefix ^ body
+
+(* The connection layer encodes into one reused writer and blits the frame
+   into its send buffer at some offset. *)
+let connection_frame w p =
+  match Frame.encode_into w p with
+  | Error e -> Alcotest.failf "encode_into: %s" (Frame.error_to_string e)
+  | Ok len ->
+      let dst = Bytes.make (len + 7) '#' in
+      Frame.blit_frame w dst 3;
+      check_str "bytes around the frame untouched" "######"
+        (Bytes.sub_string dst 0 3 ^ Bytes.sub_string dst (len + 3) 3);
+      Bytes.sub_string dst 3 len
+
+(* MD5 of every corpus payload's frame, concatenated, as the framing code
+   before the send buffer encoded in place produced them. *)
+let corpus_frames_digest = "65aaabb5f0a200384470400c8242b6d1"
+
+let test_frames_byte_identical () =
+  let payloads = Lazy.force hot_path_corpus in
+  let w = Buffer.create 16 in
+  let frames =
+    List.map
+      (fun p ->
+        let s = Payload.to_string p in
+        let expected = reference_frame p in
+        check_str (s ^ ": Frame.encode") expected (frame_of p);
+        check_str (s ^ ": reused writer") expected (connection_frame w p);
+        expected)
+      payloads
+  in
+  check_str "corpus frames digest" corpus_frames_digest
+    (Digest.to_hex (Digest.string (String.concat "" frames)))
+
+(* Feed [stream] to a decoder through [read_from], cut into chunks at
+   [cuts], and decode every frame as soon as it is complete. *)
+let decode_in_place ?(on_payload = ignore) d stream cuts =
+  let out = ref [] in
+  let rec drain () =
+    match Frame.Decoder.next d with
+    | `Payload p ->
+        on_payload p;
+        out := p :: !out;
+        drain ()
+    | `Await -> ()
+    | `Corrupt e -> Alcotest.failf "corrupt: %s" (Frame.error_to_string e)
+  in
+  let feed_chunk off len =
+    let pos = ref off in
+    while !pos < off + len do
+      let n =
+        Frame.Decoder.read_from d (fun buf at room ->
+            let n = min room (off + len - !pos) in
+            Bytes.blit_string stream !pos buf at n;
+            n)
+      in
+      pos := !pos + n;
+      drain ()
+    done
+  in
+  let bounds = List.sort_uniq compare (0 :: String.length stream :: cuts) in
+  let rec chunks = function
+    | a :: (b :: _ as rest) ->
+        feed_chunk a (b - a);
+        chunks rest
+    | _ -> ()
+  in
+  chunks bounds;
+  List.rev !out
+
+let encoded p =
+  match Payload.encode p with
+  | Ok b -> b
+  | Error e -> Alcotest.failf "encode: %s" (Payload.codec_error_to_string e)
+
+(* Bigger than the decoder's initial 4 KiB buffer, so the stream makes it
+   grow mid-frame. *)
+let big_payload = Proto.Cl_put { rid = 99; key = "big"; value = String.make 10_000 'b' }
+
+let prop_decode_in_place =
+  QCheck.Test.make ~name:"in-place decoding of a cut stream" ~count:60
+    QCheck.(
+      pair
+        (list_of_size Gen.(1 -- 30) small_nat)
+        (list_of_size Gen.(0 -- 12) small_nat))
+    (fun (picks, cut_seeds) ->
+      let corpus = Array.of_list (Lazy.force hot_path_corpus) in
+      let payloads =
+        big_payload
+        :: List.map (fun i -> corpus.(i mod Array.length corpus)) picks
+      in
+      let frames = List.map frame_of payloads in
+      let stream = String.concat "" frames in
+      let len = String.length stream in
+      let cuts = List.map (fun c -> c * 7919 mod (len + 1)) cut_seeds in
+      let expected =
+        List.map
+          (fun f ->
+            match Frame.decode_exact f with
+            | Ok p -> encoded p
+            | Error e -> Alcotest.failf "decode_exact: %s" (Frame.error_to_string e))
+          frames
+      in
+      let got =
+        List.map encoded (decode_in_place (Frame.Decoder.create ()) stream cuts)
+      in
+      got = expected)
+
+(* A decoded payload owns its bytes: compacting and overwriting the
+   decoder's buffer leaves it unchanged. *)
+let test_decoded_payloads_not_aliased () =
+  let d = Frame.Decoder.create () in
+  let value c = String.make 1_000 c in
+  let frames =
+    String.concat ""
+      (List.map frame_of
+         [ Proto.Cl_put { rid = 1; key = "a"; value = value 'a' };
+           Proto.Cl_put { rid = 2; key = "b"; value = value 'b' };
+           Proto.Cl_put { rid = 3; key = "c"; value = value 'c' };
+           big_payload ])
+  in
+  (* Cut inside the second frame: the partial frame is compacted over the
+     first frame's bytes, then every later read reuses the buffer. *)
+  let decoded = decode_in_place d frames [ 1_500; 2_100; 2_200 ] in
+  check_int "all frames decoded" 4 (List.length decoded);
+  let again = decode_in_place d (frame_of (Proto.Cl_dump { rid = 4 })) [] in
+  check_int "decoder reused" 1 (List.length again);
+  List.iter2
+    (fun p (key, c) ->
+      match p with
+      | Proto.Cl_put { key = k; value = v; _ } ->
+          check_str "key intact" key k;
+          check_str "value intact" (value c) v
+      | _ -> Alcotest.fail "wrong payload")
+    (List.filteri (fun i _ -> i < 3) decoded)
+    [ ("a", 'a'); ("b", 'b'); ("c", 'c') ]
+
 let suite =
   [
     ( "wire",
@@ -396,5 +545,10 @@ let suite =
           test_decoder_stream_and_resync;
         Alcotest.test_case "decoder dies on length corruption" `Quick
           test_decoder_dead_on_bad_length;
+        Alcotest.test_case "frames byte-identical on every encode path" `Quick
+          test_frames_byte_identical;
+        QCheck_alcotest.to_alcotest prop_decode_in_place;
+        Alcotest.test_case "decoded payloads do not alias the buffer" `Quick
+          test_decoded_payloads_not_aliased;
       ] );
   ]
