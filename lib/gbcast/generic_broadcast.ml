@@ -162,7 +162,12 @@ type t = {
   cut_timer_armed : (int, unit) Hashtbl.t;
   cut_backoff : float;
   mutable submit_batch : msg Batcher.t option;
-  mutable ack_batch : ((int * int) * int) Batcher.t option;
+  (* Acks buffered by [examine] until the end of the handler that produced
+     them, or until [ack_cap] of them are waiting; [ack_cap = 1] sends each
+     ack at once (the unbatched protocol). *)
+  ack_cap : int;
+  mutable acks : ((int * int) * int) list; (* newest first *)
+  mutable n_acks : int;
   mutable subscribers : (origin:int -> Gc_net.Payload.t -> unit) list;
   mutable n_delivered : int;
   mutable n_fast : int;
@@ -391,6 +396,31 @@ and force_cut t =
     end
   end
 
+(* Acks buffered by [examine] go out at the end of the handler that
+   produced them: one [Gb_acks] vector per incoming fast batch instead of
+   n-1 unicasts per message.  Every handler that can buffer an ack (the
+   fast-path rb delivery and the cut's ab delivery) ends with this flush,
+   so no timer is needed. *)
+let flush_acks t =
+  if t.n_acks > 0 then begin
+    let n = t.n_acks in
+    let l = List.rev t.acks in
+    t.acks <- [];
+    t.n_acks <- 0;
+    Process.observe t.proc Metric.gbcast_ack_batch_size (float_of_int n);
+    match l with
+    | [ (id, stage) ] -> send_all t ~size:24 (Gb_ack { id; stage })
+    | l -> send_all t ~size:(16 + (8 * n)) (Gb_acks l)
+  end
+
+let buffer_ack t ((id, stage) as ack) =
+  if t.ack_cap = 1 then send_all t ~size:24 (Gb_ack { id; stage })
+  else begin
+    t.acks <- ack :: t.acks;
+    t.n_acks <- t.n_acks + 1;
+    if t.n_acks >= t.ack_cap then flush_acks t
+  end
+
 (* Fast-path examination of a pending message: acknowledge it unless it
    conflicts with another message of the stage; a conflict changes stage.
    The "conflicts with anything pending or acked?" probe goes through the
@@ -418,9 +448,7 @@ let rec examine t m =
     else begin
       Hashtbl.replace t.stage_history id m;
       Hashtbl.replace (ack_set t id t.stage) (Process.id t.proc) ();
-      (match t.ack_batch with
-      | Some b -> Batcher.add b (id, t.stage)
-      | None -> send_all t ~size:24 (Gb_ack { id; stage = t.stage }));
+      buffer_ack t (id, t.stage);
       try_fast_deliver t id
     end
   end
@@ -446,13 +474,6 @@ and try_fast_deliver t id =
       | None -> ()
     end
   end
-
-(* Acks buffered by [examine] go out at the end of the handler that
-   produced them: one [Gb_acks] vector per incoming fast batch instead of
-   n-1 unicasts per message (the batcher's tick watermark is only a safety
-   net). *)
-let flush_acks t =
-  match t.ack_batch with Some b -> Batcher.flush b | None -> ()
 
 let reexamine_pending t =
   List.iter (fun m -> examine t m) (pending_msgs t)
@@ -529,7 +550,12 @@ let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
       cut_timer_armed = Hashtbl.create 8;
       cut_backoff;
       submit_batch = None;
-      ack_batch = None;
+      (* Acks only batch when submissions do: with [batch_max = 1] the wire
+         traffic stays exactly the per-message [Gb_ack] of the unbatched
+         protocol. *)
+      ack_cap = (if batch_max > 1 then max batch_max 16 else 1);
+      acks = [];
+      n_acks = 0;
       subscribers = [];
       n_delivered = 0;
       n_fast = 0;
@@ -550,22 +576,6 @@ let create proc ~rc ~rb ~ab ~conflict ?(ack_mode = Two_thirds)
                let size = List.fold_left (fun a m -> a + m.size) 16 ms in
                Rb.broadcast t.rb ~size ~dests:t.member_list (Gb_fast_batch ms))
          ());
-  (* Acks only batch when submissions do: with [batch_max = 1] the wire
-     traffic stays exactly the per-message [Gb_ack] of the unbatched
-     protocol. *)
-  if batch_max > 1 then
-    t.ack_batch <-
-      Some
-        (Batcher.create proc ~metric:Metric.gbcast_ack_batch_size
-           ~max_batch:(max batch_max 16) ~max_delay:batch_delay
-           ~emit:(fun l ->
-             match l with
-             | [ (id, stage) ] -> send_all t ~size:24 (Gb_ack { id; stage })
-             | l ->
-                 send_all t
-                   ~size:(16 + (8 * List.length l))
-                   (Gb_acks l))
-           ());
   Rb.on_deliver rb (fun ~origin:_ payload ->
       match payload with
       | Gb_fast m ->
@@ -660,6 +670,7 @@ let members t = t.member_list
 let delivered_count t = t.n_delivered
 let fast_delivered_count t = t.n_fast
 let stage t = t.stage
+let buffered_acks t = t.n_acks
 
 let delivered_ids t = Delivered.ids t.delivered
 

@@ -109,9 +109,9 @@ val gbcast : t -> ?size:int -> Gc_net.Payload.t -> unit
 val on_deliver : t -> (origin:int -> Gc_net.Payload.t -> unit) -> unit
 
 val flush : t -> unit
-(** Emit anything parked in the submission and acknowledgement batchers
-    immediately — part of orderly shutdown: without it a gbcast during the
-    last [batch_delay] before teardown is silently dropped. *)
+(** Emit anything parked in the submission batcher or the acknowledgement
+    buffer immediately — part of orderly shutdown: without it a gbcast
+    during the last [batch_delay] before teardown is silently dropped. *)
 
 val set_members : t -> int list -> unit
 (** Replace the member set (affects quorum sizes and destinations for new
@@ -130,6 +130,10 @@ val fast_delivered_count : t -> int
 val stage : t -> int
 (** Current stage number = number of stage changes applied locally; each
     stage change is exactly one message through atomic broadcast. *)
+
+val buffered_acks : t -> int
+(** Acknowledgements waiting in the buffer.  Every handler that buffers one
+    sends it before it returns, so this reads 0 between events. *)
 
 val delivered_ids : t -> (int * int) list
 

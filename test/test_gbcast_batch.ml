@@ -48,10 +48,10 @@ let matrix_of ~classes bits =
   done;
   fun a b -> m.(a).(b)
 
-(* One simulated run: n = 3 nodes, op [k] of class [klass] submitted at the
-   sender [k mod n] at time [k * 4] ms.  Returns per-node delivery lists in
-   delivery order. *)
-let run_mix ~seed ~conflict ~batch_max ~batch_delay ops =
+(* One simulated world: n = 3 nodes, op [k] of class [klass] submitted at
+   the sender [k mod n] at time [k * 4] ms.  Returns the world, the nodes'
+   gbcast instances and their delivery logs (newest first). *)
+let build_mix ~seed ~conflict ~batch_max ~batch_delay ops =
   let n = 3 in
   let w = make_world ~seed ~n () in
   let logs = Array.make n [] in
@@ -77,8 +77,14 @@ let run_mix ~seed ~conflict ~batch_max ~batch_delay ops =
         (Engine.schedule w.engine ~delay:(float_of_int (k * 4)) (fun () ->
              Gb.gbcast gbs.(k mod n) (Op { klass; k }))))
     ops;
+  (w, gbs, logs)
+
+(* [build_mix] run to quiescence: per-node delivery lists in delivery
+   order. *)
+let run_mix ~seed ~conflict ~batch_max ~batch_delay ops =
+  let w, _, logs = build_mix ~seed ~conflict ~batch_max ~batch_delay ops in
   run_until w 60_000.0;
-  Array.init n (fun i -> List.rev logs.(i))
+  Array.map List.rev logs
 
 (* Generic-order oracle for one run: every node delivered every op exactly
    once, and any conflicting pair sits in the same relative order at every
@@ -180,6 +186,37 @@ let test_batched_total_conflict () =
       let seq i = List.map op_k deliveries.(i) in
       check_bool "total order" true (seq 0 = seq 1 && seq 1 = seq 2))
 
+(* Acks have no timer behind them: every handler that buffers one must
+   send it before it returns.  Step the simulator one event at a time
+   through a mix of commuting bursts (batched fast path, ack vectors) and
+   conflicting ops (cuts whose re-examined survivors ack inside the ab
+   delivery) and check the buffer is empty between every two events. *)
+let test_acks_flushed_per_handler () =
+  for_seeds ~count:4 (fun seed ->
+      let conflict =
+        Conflict.indexed ~classes:2 ~classify:op_klass
+          ~matrix:(fun a b -> a = 1 || b = 1)
+      in
+      let ops = List.init 40 (fun k -> if k mod 7 = 6 then 1 else 0) in
+      let w, gbs, logs =
+        build_mix ~seed ~conflict ~batch_max:8 ~batch_delay:25.0 ops
+      in
+      while Engine.now w.engine < 2_000.0 && Engine.step w.engine do
+        Array.iteri
+          (fun i gb ->
+            if Gb.buffered_acks gb <> 0 then
+              Alcotest.failf "node %d holds %d acks at t=%.3f" i
+                (Gb.buffered_acks gb) (Engine.now w.engine))
+          gbs
+      done;
+      Array.iter (fun l -> check_int "all delivered" 40 (List.length l)) logs;
+      let m =
+        Gc_obs.Metrics.merged
+          (Array.to_list (Array.map (fun nd -> Process.metrics nd.proc) w.nodes))
+      in
+      check_bool "ack vectors formed" true
+        (Gc_obs.Metrics.hist_max m "gbcast.ack_batch_size" > 1.0))
+
 (* ---------- Batcher unit tests (white-box) ---------- *)
 
 let with_proc f =
@@ -272,6 +309,8 @@ let suite =
           test_batched_all_commuting;
         Alcotest.test_case "batched: total conflict = total order" `Slow
           test_batched_total_conflict;
+        Alcotest.test_case "acks leave before their handler returns" `Quick
+          test_acks_flushed_per_handler;
         Alcotest.test_case "batcher: size watermark" `Quick
           test_batcher_size_watermark;
         Alcotest.test_case "batcher: tick watermark" `Quick
