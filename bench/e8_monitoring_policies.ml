@@ -101,7 +101,8 @@ let run () =
       ]
     rows;
   conclude
-    "immediate exclusion reacts fastest but wrongly excludes live members \
-     under spikes; threshold policies corroborate suspicions and stay \
-     accurate at a modest detection delay; output-triggered exclusion only \
-     reacts when the channel is actually stuck."
+    "immediate exclusion wrongly excludes live members under spikes and \
+     shreds the group; threshold policies corroborate suspicions, stay \
+     accurate and exclude the crashed member fastest; output-triggered \
+     exclusion reacts at the channel-stuck horizon and can still exclude a \
+     live member whose channel stayed stuck."

@@ -185,10 +185,13 @@ let create runtime ?metrics ~id ~initial ?(config = default_config)
      id from a previous incarnation, or peers' per-stream state and dedup
      sets silently swallow its new traffic. *)
   let rb = Rb.create proc ~epoch:boot_epoch rc in
+  (* Atomic broadcast is built unbatched: its only submitters here are
+     gbcast cuts (one per stage, and the next stage opens only once the
+     cut is delivered) and view changes, so waiting for company never
+     forms a batch and only delays every cut by [batch_delay]. *)
   let ab =
     Ab.create proc ~rc ~rb ~fd ~suspect_timeout:config.consensus_timeout
-      ~adaptive:config.consensus_adaptive ~batch_max:config.batch_max
-      ~batch_delay:config.batch_delay ~epoch:boot_epoch ~members:initial ()
+      ~adaptive:config.consensus_adaptive ~epoch:boot_epoch ~members:initial ()
   in
   (* Default All_members mode: ordered traffic (including view changes)
      rides the consensus-backed cut path and stays live with f < n/2;
@@ -310,12 +313,12 @@ let id t = Process.id t.proc
 let crash t = Process.crash t.proc
 
 (* Orderly teardown, distinct from [crash] (which the fuzzer uses to model
-   fail-stop): emit whatever the submission/ack batchers are still parking —
-   otherwise a message submitted within [batch_delay] of teardown is
-   silently dropped — then make the log durable, then stop. *)
+   fail-stop): emit whatever gbcast's submission batcher and ack buffer are
+   still parking — otherwise a message submitted within [batch_delay] of
+   teardown is silently dropped — then make the log durable, then stop.
+   Atomic broadcast is unbatched here, so it parks nothing. *)
 let shutdown t =
   Gb.flush t.gb;
-  Ab.flush t.ab;
   (* The flushed broadcasts route through our own reliable channel first
      (the uniform loopback hop); deliver that hop now so they are relayed
      to the peers before the process stops existing. *)

@@ -58,13 +58,17 @@ type config = {
           design); false is the ablation: view changes ride plain atomic
           broadcast and commuting messages may straddle views (Section 4.4) *)
   batch_max : int;
-      (** submission batching watermark for the ordering layers (default
-          64): up to this many application messages ride one reliable
-          broadcast / one acknowledgement vector, amortising the O(n^2)
-          relay and O(n) ack cost per message; 1 disables batching *)
+      (** gbcast submission batching watermark (default 64): up to this
+          many application messages ride one reliable broadcast / one
+          acknowledgement vector, amortising the O(n^2) relay and O(n) ack
+          cost per message; 1 disables batching.  Atomic broadcast is
+          always unbatched in the stack: it carries only stage cuts (one
+          at a time) and view changes, which a batch timer would only
+          delay *)
   batch_delay : float;
-      (** tick watermark, ms (default 1): a partial batch is flushed this
-          long after its first message, bounding added latency *)
+      (** tick watermark for gbcast submissions, ms (default 1): a partial
+          batch is flushed this long after its first message, bounding
+          added latency *)
 }
 
 val default_config : config
@@ -202,10 +206,10 @@ val crash : t -> unit
 (** Crash-stop the whole process (simulation control). *)
 
 val shutdown : t -> unit
-(** Orderly teardown: flush the ordering layers' submission/ack batchers (a
-    message submitted within [batch_delay] of teardown would otherwise be
-    silently dropped), sync the durable log if one is attached, then crash
-    the process.  Use {!crash} to model fail-stop. *)
+(** Orderly teardown: flush generic broadcast's submission batcher and ack
+    buffer (a message submitted within [batch_delay] of teardown would
+    otherwise be silently dropped), sync the durable log if one is
+    attached, then crash the process.  Use {!crash} to model fail-stop. *)
 
 val alive : t -> bool
 

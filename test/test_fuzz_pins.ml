@@ -6,9 +6,12 @@
    network or the protocol layers that perturbs even one random draw or
    event-schedule interleaving changes a digest and fails here.
 
-   Regenerate (only when a behaviour change is intended and reviewed) with:
+   Regenerate (only when a behaviour change is intended and reviewed) by
+   running the test binary from this directory, so that [pins_file]
+   resolves to the source file rather than to its copy under _build:
 
-     GCS_UPDATE_PINS=1 dune runtest *)
+     dune build
+     cd test && GCS_UPDATE_PINS=1 ../_build/default/test/main.exe test fuzz-pins *)
 
 module Harness = Gc_fuzz.Harness
 module Generator = Gc_faultgen.Generator

@@ -11,11 +11,11 @@ open Support
 
 type Gc_net.Payload.t += Op of int | State of int list
 
-let make_stacks ?(config = Stack.default_config) ?(n_founders = None) ~n ~seed
-    () =
+let make_stacks ?(config = Stack.default_config) ?(n_founders = None)
+    ?(delay = Gc_net.Delay.lan) ~n ~seed () =
   let engine = Engine.create ~seed () in
   let trace = Trace.create () in
-  let net = Netsim.create engine ~trace ~delay:Gc_net.Delay.lan ~n () in
+  let net = Netsim.create engine ~trace ~delay ~n () in
   let founders =
     match n_founders with None -> n | Some f -> f
   in
@@ -247,6 +247,43 @@ let test_second_sponsor_after_sponsor_crash () =
   check_bool "member of the view" true
     (View.mem (Stack.view stacks.(1)) 3)
 
+(* The stack's atomic broadcast carries only gbcast cuts (one per stage)
+   and view changes, so it submits each at once: on a quiet group a cut's
+   abcast latency must not depend on [batch_delay], and every submission
+   leaves alone.  Constant link delays keep the two runs' schedules
+   comparable. *)
+let test_cut_skips_batch_timer () =
+  let module M = Gc_obs.Metrics in
+  let run batch_delay =
+    let config = Stack.Config.make ~batch_delay () in
+    let engine, _net, stacks, applied =
+      make_stacks ~config ~delay:(Gc_net.Delay.Constant 1.0) ~n:3 ~seed:5L ()
+    in
+    ignore
+      (Engine.schedule_at engine ~time:500.0 (fun () ->
+           Stack.abcast stacks.(0) (Op 1)));
+    Engine.run ~until:2_000.0 engine;
+    for i = 0 to 2 do
+      check_list_int "delivered once" [ 1 ] (history applied i)
+    done;
+    let m = M.merged (Array.to_list (Array.map Stack.metrics stacks)) in
+    check_int "one cut submitted" 1 (M.hist_count m "abcast.submit_batch_size");
+    Alcotest.(check (float 0.0))
+      "submitted alone" 1.0
+      (M.hist_max m "abcast.submit_batch_size");
+    check_int "cut delivered at every node" 3
+      (M.hist_count m "abcast.latency_ms");
+    m
+  in
+  let fast = run 1.0 and slow = run 25.0 in
+  List.iter
+    (fun (what, read) ->
+      Alcotest.(check (float 1e-9))
+        (what ^ " independent of batch_delay")
+        (read fast "abcast.latency_ms")
+        (read slow "abcast.latency_ms"))
+    [ ("abcast.latency_ms mean", M.hist_mean); ("abcast.latency_ms max", M.hist_max) ]
+
 let suite =
   [
     ( "gcs-stack",
@@ -268,5 +305,7 @@ let suite =
           test_two_thirds_stack_config;
         Alcotest.test_case "second sponsor after sponsor crash" `Quick
           test_second_sponsor_after_sponsor_crash;
+        Alcotest.test_case "cut abcast skips the batch timer" `Quick
+          test_cut_skips_batch_timer;
       ] );
   ]
